@@ -1,4 +1,4 @@
-//! Work-stealing batch throughput vs. thread count.
+//! Batch throughput vs. thread count on the work-assisting claim loop.
 //!
 //! A Table-1-sized batch of independent EBF instances is pushed through
 //! `BatchSolver` at 1/2/4/8 workers. Every thread count produces

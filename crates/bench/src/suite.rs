@@ -86,7 +86,7 @@ pub struct SuiteConfig {
     /// When `true`, runs the `par_intra` group: the pinned 512-sink
     /// uniform instance solved on the revised backend at 1/2/4/8
     /// intra-solve workers (assisted pricing + separation, DESIGN.md
-    /// §17), producing the single-instance scaling curve under
+    /// §9), producing the single-instance scaling curve under
     /// `time.suite.par_intra.threads<n>`. The group refuses to report
     /// unless the edge lengths, report, and span *shape* are
     /// byte-identical across all four thread counts; nothing from it
@@ -440,7 +440,7 @@ pub const PAR_INTRA_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// with span profiling on. Wall clock per thread count goes into `wall`
 /// under `time.suite.par_intra.threads<n>`; the call fails unless the
 /// edge-length bits, the report, and the span shape are identical for
-/// every thread count (the DESIGN.md §17 determinism wall).
+/// every thread count (the DESIGN.md §9 determinism wall).
 pub fn par_intra_scaling(m: usize, wall: &mut BTreeMap<String, u64>) -> Result<(), String> {
     let inst = synthetic::uniform(&format!("u{m}"), m, DIE, 0xD1E0 + m as u64);
     let problem = planned_problem(&inst)?;

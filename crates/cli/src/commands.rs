@@ -288,7 +288,7 @@ fn cmd_solve(parsed: &Parsed) -> Result<(), String> {
     }
     // Intra-solve worker count: 0 = one worker per core, 1 (the default) =
     // the exact sequential path. Output bytes are identical for every
-    // value (DESIGN.md §17), so no determinism caveat applies here.
+    // value (DESIGN.md §9), so no determinism caveat applies here.
     reject_bare(parsed, &["threads"])?;
     if let Some(threads) = parsed.get_usize("threads")? {
         builder = builder.threads(threads);
@@ -377,7 +377,7 @@ fn cmd_solve(parsed: &Parsed) -> Result<(), String> {
 }
 
 /// `lubt batch <input>...`: solves many instances through the
-/// work-stealing pool. One delay window (shared, per-instance radius
+/// work-assisting claim loop. One delay window (shared, per-instance radius
 /// normalized unless `--absolute`) applies to every input. Output carries
 /// no timings and the per-instance solves are bit-for-bit independent of
 /// `--threads`, so two runs differing only in thread count print identical

@@ -1,13 +1,13 @@
 //! Batched solving: many independent LUBT instances pushed through the
-//! work-stealing pool of `lubt-par`.
+//! work-assisting claim loop of `lubt-par`.
 //!
-//! Each instance is one job; the pool load-balances across workers while
-//! the result vector keeps input order. Per-instance solves use a
-//! single-threaded separation oracle (the parallelism budget is spent
-//! across instances, not inside one), so the answer for every instance is
-//! bit-for-bit the same as a standalone [`EbfSolver::solve`] /
-//! [`crate::LubtProblem::solve`] call — thread count only changes
-//! wall-clock time.
+//! Each instance is one block of the claim loop; workers claim the next
+//! unsolved instance from a shared cursor while the result vector keeps
+//! input order. Per-instance solves use a single-threaded separation
+//! oracle (the parallelism budget is spent across instances, not inside
+//! one), so the answer for every instance is bit-for-bit the same as a
+//! standalone [`EbfSolver::solve`] / [`crate::LubtProblem::solve`] call —
+//! thread count only changes wall-clock time.
 
 use crate::ebf::{EbfReport, EbfSolver};
 use crate::embed::{embed_tree_traced, PlacementPolicy};
@@ -110,8 +110,9 @@ impl BatchSolver {
     /// [`BatchSolver::solve_all`] with batch-level metrics accumulated into
     /// a fresh recorder, returned as a [`SolveTrace`] alongside the
     /// results: every instance's `ebf.*`/`simplex.*`/`embed.*` counters
-    /// summed into one trace, the `par.*` scheduling counters of the batch
-    /// loop itself, plus `batch.instances`, `batch.solved`, `batch.failed`.
+    /// summed into one trace, the `par.assist.*` scheduling counters of
+    /// the batch loop itself, plus `batch.instances`, `batch.solved`,
+    /// `batch.failed`.
     ///
     /// The results are bit-for-bit identical to [`BatchSolver::solve_all`]
     /// for every thread count; only the trace (timings, scheduling
@@ -140,9 +141,9 @@ impl BatchSolver {
     /// one shared recorder, each solve here records in isolation, so the
     /// fold can also build per-solve histograms (pivots per instance,
     /// rounds per instance, …). Because instances are solved
-    /// single-threaded inside the pool, `traces[i]` — and therefore the
-    /// deterministic half of the aggregate — is bit-for-bit independent
-    /// of the thread count; only timings and the aggregate's
+    /// single-threaded inside the batch loop, `traces[i]` — and therefore
+    /// the deterministic half of the aggregate — is bit-for-bit
+    /// independent of the thread count; only timings and the aggregate's
     /// determinism-exempt section vary.
     #[allow(clippy::type_complexity)]
     pub fn solve_all_aggregated(
@@ -153,38 +154,22 @@ impl BatchSolver {
         Vec<SolveTrace>,
         AggregateTrace,
     ) {
-        // The outer pool records into its own recorder so scheduling noise
+        // The outer loop records into its own recorder so scheduling noise
         // never lands inside a per-instance trace.
-        let pool_rec = TraceRecorder::new();
-        let outcomes = lubt_par::parallel_map_traced(
+        let loop_rec = TraceRecorder::new();
+        let outcomes = lubt_par::assist_flat_map_traced(
             self.threads,
             problems.len(),
             1,
-            &pool_rec,
-            |i| -> (Result<LubtSolution, LubtError>, SolveTrace) {
+            &loop_rec,
+            |i, out| {
                 let rec = Arc::new(TraceRecorder::new());
                 let solver = self
                     .solver
                     .clone()
                     .with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>);
-                let problem = &problems[i];
-                let result = solver.solve(problem).and_then(|(lengths, report)| {
-                    let positions = embed_tree_traced(
-                        problem.topology(),
-                        problem.sinks(),
-                        problem.source(),
-                        &lengths,
-                        self.placement,
-                        &*rec,
-                    )?;
-                    Ok(LubtSolution::new(
-                        problem.clone(),
-                        lengths,
-                        positions,
-                        report,
-                    ))
-                });
-                (result, rec.snapshot())
+                let result = self.solve_one(&solver, &problems[i], &*rec);
+                out.push((result, rec.snapshot()));
             },
         );
         let mut results = Vec::with_capacity(outcomes.len());
@@ -198,13 +183,13 @@ impl BatchSolver {
         // Fold the batch loop's own scheduling counters last; the fold is
         // order-independent, so this cannot perturb the deterministic half.
         let solved = results.iter().filter(|r| r.is_ok()).count() as u64;
-        pool_rec.incr("batch.instances", problems.len() as u64);
-        pool_rec.incr("batch.solved", solved);
-        pool_rec.incr("batch.failed", problems.len() as u64 - solved);
-        let mut pool_agg = AggregateTrace::new();
-        pool_agg.fold(&pool_rec.snapshot());
-        pool_agg.solves = 0; // the pool snapshot is bookkeeping, not a solve
-        aggregate.merge(&pool_agg);
+        loop_rec.incr("batch.instances", problems.len() as u64);
+        loop_rec.incr("batch.solved", solved);
+        loop_rec.incr("batch.failed", problems.len() as u64 - solved);
+        let mut loop_agg = AggregateTrace::new();
+        loop_agg.fold(&loop_rec.snapshot());
+        loop_agg.solves = 0; // the loop snapshot is bookkeeping, not a solve
+        aggregate.merge(&loop_agg);
         (results, traces, aggregate)
     }
 
@@ -221,24 +206,34 @@ impl BatchSolver {
         } else {
             self.solver.clone()
         };
-        lubt_par::parallel_map_traced(self.threads, problems.len(), 1, &*rec, |i| {
-            let problem = &problems[i];
-            let (lengths, report) = solver.solve(problem)?;
-            let positions = embed_tree_traced(
-                problem.topology(),
-                problem.sinks(),
-                problem.source(),
-                &lengths,
-                self.placement,
-                &*rec,
-            )?;
-            Ok(LubtSolution::new(
-                problem.clone(),
-                lengths,
-                positions,
-                report,
-            ))
+        lubt_par::assist_flat_map_traced(self.threads, problems.len(), 1, &*rec, |i, out| {
+            out.push(self.solve_one(&solver, &problems[i], &*rec));
         })
+    }
+
+    /// Solves and embeds one instance with `solver`, recording the
+    /// embedder's counters into `rec`.
+    fn solve_one(
+        &self,
+        solver: &EbfSolver,
+        problem: &LubtProblem,
+        rec: &dyn Recorder,
+    ) -> Result<LubtSolution, LubtError> {
+        let (lengths, report) = solver.solve(problem)?;
+        let positions = embed_tree_traced(
+            problem.topology(),
+            problem.sinks(),
+            problem.source(),
+            &lengths,
+            self.placement,
+            rec,
+        )?;
+        Ok(LubtSolution::new(
+            problem.clone(),
+            lengths,
+            positions,
+            report,
+        ))
     }
 
     /// LP layer only: optimal edge lengths and solve statistics per
@@ -249,8 +244,8 @@ impl BatchSolver {
         &self,
         problems: &[LubtProblem],
     ) -> Vec<Result<(Vec<f64>, EbfReport), LubtError>> {
-        lubt_par::parallel_map(self.threads, problems.len(), 1, |i| {
-            self.solver.solve(&problems[i])
+        lubt_par::assist_flat_map(self.threads, problems.len(), 1, |i, out| {
+            out.push(self.solver.solve(&problems[i]));
         })
     }
 }
@@ -357,11 +352,9 @@ mod tests {
         assert_eq!(trace.counter("batch.instances"), 8);
         assert_eq!(trace.counter("batch.solved"), 4);
         assert_eq!(trace.counter("batch.failed"), 4);
-        // The batch loop itself is one traced parallel loop over the 8
-        // instances; the per-instance separation oracles add their own
-        // `par.*` jobs on top.
-        assert!(trace.counter("par.loops") >= 1);
-        assert!(trace.counter("par.jobs") >= 8);
+        // The per-instance separation loops run at width 1, so only the
+        // width-2 batch claim loop itself can record two participants.
+        assert_eq!(trace.maximum("par.assist.workers"), 2);
         // The per-instance solves fed the same trace: LP and embedder
         // counters aggregate across the whole batch.
         assert!(trace.counter("simplex.solves") >= 4);
@@ -417,9 +410,10 @@ mod tests {
         // The per-solve histogram has one sample per instance that reached
         // the LP (infeasible ones may be rejected by the pre-solve lint).
         assert!(agg.histogram("simplex.solves").unwrap().count() >= 4);
-        // Scheduling keys stay in the exempt section of the aggregate.
-        assert_eq!(agg.counter("par.jobs"), 0);
-        assert!(agg.sched_counters.contains_key("par.jobs"));
+        // Scheduling keys stay in the exempt section of the aggregate, and
+        // only the width-2 batch claim loop can record two participants.
+        assert_eq!(agg.counter("par.assist.jobs"), 0);
+        assert_eq!(agg.sched_maxima["par.assist.workers"], 2);
     }
 
     #[test]

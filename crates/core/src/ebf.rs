@@ -250,7 +250,7 @@ impl EbfSolver {
     /// Thanks to the canonical cut-merge order of
     /// [`crate::steiner::violated_pairs_with_threads`] and the
     /// deterministic lowest-index-wins reduction of the assisted scans
-    /// (DESIGN.md §17), the solve is bit-for-bit identical for every
+    /// (DESIGN.md §9), the solve is bit-for-bit identical for every
     /// value — this knob only changes wall-clock.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {

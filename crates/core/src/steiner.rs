@@ -129,7 +129,7 @@ pub fn violated_pairs_traced(
     };
     // Row i holds m - i pairs; a small grain keeps many blocks behind the
     // shared claim cursor so late-arriving helpers even out the ragged
-    // triangle without a pre-split partition (DESIGN.md §17).
+    // triangle without a pre-split partition (DESIGN.md §9).
     let grain = (m / lubt_par::resolve_threads(threads).max(1) / 4).max(1);
     let mut out =
         lubt_par::assist_flat_map_traced(threads, m, grain, rec, |row, buf| scan_row(row + 1, buf));

@@ -635,7 +635,7 @@ impl Kernel {
     }
 
     /// [`Kernel::price`]'s cyclic window scanned by assisted claiming
-    /// (DESIGN.md §17), reproducing the serial scan *exactly* — the same
+    /// (DESIGN.md §9), reproducing the serial scan *exactly* — the same
     /// entering column, the same cursor advance, the same
     /// `lp.priced_columns` tally — for every thread count.
     ///

@@ -20,7 +20,7 @@ use crate::prometheus::{metric_name, push_sample};
 use crate::trace::SolveTrace;
 
 /// Key prefixes whose values may legitimately differ between runs or
-/// thread counts: work-stealing scheduling (`par.*`, `pool.*`) and
+/// thread counts: claim-loop scheduling (`par.*`, `pool.*`) and
 /// wall-clock phase timers (`time.*`). Everything else a recorder
 /// collects is covered by the §9 determinism contract.
 pub const DETERMINISM_EXEMPT_PREFIXES: [&str; 3] = ["par.", "pool.", "time."];

@@ -1,7 +1,7 @@
 //! Solve-trace observability for the LUBT workspace.
 //!
 //! Every stage of the pipeline — simplex pivoting, lazy cut separation,
-//! geometric embedding, work-stealing batch scheduling — reports what it
+//! geometric embedding, parallel batch scheduling — reports what it
 //! did through the [`Recorder`] trait defined here. The crate is
 //! dependency-free and deliberately tiny: a recorder is a sink for
 //! monotonic counters, running maxima, gauges, per-phase wall-clock

@@ -1,25 +1,23 @@
 //! Work-assisting iteration: one shared atomic claim index, joinable
-//! mid-flight (DESIGN.md §17).
+//! mid-flight (DESIGN.md §9).
 //!
-//! Where the §9 chunk engine pre-splits the index range into per-worker
-//! deques before any work starts, the assist engine keeps a single
-//! [`AtomicUsize`] cursor over the block sequence. Every participant —
-//! the caller plus however many helpers join — runs the same claim loop:
-//! `fetch_add(1)` to take the next block, run it, repeat until the cursor
-//! passes the end. A helper that shows up late simply starts claiming
-//! from wherever the cursor currently is; there is no partition to
-//! rebalance and no deque to steal from, which is what makes the scheme
-//! fit short, repeated, irregular loops (partial pricing rounds, the
-//! separation triangle) where up-front chunking either over-splits small
-//! rounds or starves late joiners.
+//! There is no up-front partition of the index range and no per-worker
+//! deque: a single [`AtomicUsize`] cursor runs over the block sequence.
+//! Every participant — the caller plus however many helpers join — runs
+//! the same claim loop: `fetch_add(1)` to take the next block, run it,
+//! repeat until the cursor passes the end. A helper that shows up late
+//! simply starts claiming from wherever the cursor currently is; there is
+//! nothing to rebalance and nothing to steal. That serves both shapes of
+//! work in the workspace: short, repeated, irregular loops inside one
+//! solve (partial pricing rounds, the separation triangle), and batch
+//! loops whose blocks are whole instances of very different sizes.
 //!
-//! Determinism contract (same as [`crate::parallel_flat_map`]): each
-//! block's output is tagged with its block id, and after the scoped join
-//! the blocks are reduced **in ascending block order**. `threads <= 1`
-//! runs the identical per-block evaluation inline, so the result is
-//! bit-identical for every thread count as long as the caller's fold is
-//! associative over adjacent index ranges (concatenation and the
-//! lowest-index-wins argmax both are).
+//! Determinism contract: each block's output is tagged with its block id,
+//! and after the scoped join the blocks are reduced **in ascending block
+//! order**. `threads <= 1` runs the identical per-block evaluation inline,
+//! so the result is bit-identical for every thread count as long as the
+//! caller's fold is associative over adjacent index ranges (concatenation
+//! and the lowest-index-wins argmax both are).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -199,9 +197,8 @@ where
 }
 
 /// Runs `f(i, &mut buf)` for every `i in 0..n` under assisted claiming,
-/// concatenating the per-block buffers in index order. Drop-in for
-/// [`crate::parallel_flat_map`] where mid-flight joining matters more
-/// than owner-local chunk runs.
+/// concatenating the per-block buffers in index order: the output is the
+/// serial `for i in 0..n` sequence for every thread count.
 pub fn assist_flat_map<T, F>(threads: usize, n: usize, grain: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -323,9 +320,9 @@ mod tests {
 
     #[test]
     fn every_assist_key_is_determinism_exempt() {
-        // Same exemption contract as the §9 engine: every key this
-        // module emits must be quarantined by prefix or nondeterministic
-        // claim counts would leak into exact cross-run comparisons.
+        // Every key this module emits must be quarantined by prefix or
+        // nondeterministic claim counts would leak into exact cross-run
+        // comparisons.
         let rec = lubt_obs::TraceRecorder::new();
         let _ = assist_flat_map_traced(4, 100, 4, &rec, |i, out| out.push(i));
         let t = rec.snapshot();

@@ -1,53 +1,37 @@
-//! Dependency-free work-stealing parallelism for the LUBT workspace.
+//! Dependency-free deterministic parallelism for the LUBT workspace.
 //!
-//! Three layers, all built on `std` threads, `Mutex`/`Condvar` and atomics
-//! only (the build environment is offline — no rayon, no crossbeam):
+//! One engine, built on scoped `std` threads and one atomic only (the
+//! build environment is offline — no rayon, no crossbeam):
+//! [`assist_flat_map`] / [`assist_reduce`] cut an index range into blocks
+//! of `grain` indices and let every participant — the caller plus
+//! `threads - 1` helpers — claim the next block from one shared atomic
+//! cursor. Per-block results are tagged with their block id and merged in
+//! ascending block order after the join, so the result is **bit-for-bit
+//! identical for every thread count** (including the serial
+//! `threads <= 1` path) as long as the per-block work is pure and the fold
+//! is associative over adjacent index ranges (DESIGN.md §9).
 //!
-//! * [`Pool`] — a persistent work-stealing thread pool for `'static` jobs.
-//!   Each worker owns a deque; owners pop LIFO from the back, idle workers
-//!   steal FIFO from the front of a victim's deque, and sleepers park on a
-//!   condvar. Used for fire-and-forget jobs and the spawn/join stress
-//!   tests. [`Pool::assist_loop`] / [`Pool::assist_reduce`] lend the
-//!   pool's idle capacity to a borrowed intra-solve loop.
-//! * [`parallel_map`] / [`parallel_flat_map`] — scoped, *deterministic*
-//!   data-parallel iteration over an index range, in the style of the
-//!   workassisting chunked self-scheduling loop. The range is split into
-//!   chunks, chunks are distributed across per-worker deques, and idle
-//!   workers steal; every chunk's output is buffered separately and the
-//!   buffers are merged in ascending chunk order after the join. The
-//!   result is **bit-for-bit identical for every thread count** (including
-//!   the serial `threads <= 1` path) as long as the closure is pure.
-//! * [`assist_flat_map`] / [`assist_reduce`] — work-assisting iteration:
-//!   no pre-split partition at all, just one shared atomic claim index
-//!   that every participant (the caller plus late-joining helpers) bumps
-//!   to take the next block. Built for short, repeated, irregular loops
-//!   inside a single solve — the partial-pricing window and the
-//!   separation triangle — with the same ascending-block-order merge and
-//!   the same bit-identity contract (DESIGN.md §17).
-//!
-//! That merge-order guarantee is the contract the EBF separation oracle
-//! relies on: the violated-cut set a lazy solve adds each round — and
-//! therefore the simplex pivot sequence — must not depend on scheduling.
+//! Its consumers are batch solving (one instance per block), the revised
+//! simplex pricing window and dual scan, and the separation triangle. That
+//! merge-order guarantee is the contract the EBF separation oracle relies
+//! on: the violated-cut set a lazy solve adds each round — and therefore
+//! the simplex pivot sequence — must not depend on scheduling.
 //!
 //! # Example
 //!
 //! ```
-//! let squares = lubt_par::parallel_map(4, 100, 8, |i| i * i);
+//! let squares = lubt_par::assist_flat_map(4, 100, 8, |i, out| out.push(i * i));
 //! assert_eq!(squares, (0..100).map(|i| i * i).collect::<Vec<_>>());
 //! // Same output on the exact sequential path.
-//! assert_eq!(squares, lubt_par::parallel_map(1, 100, 8, |i| i * i));
+//! assert_eq!(squares, lubt_par::assist_flat_map(1, 100, 8, |i, out| out.push(i * i)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod assist;
-mod chunks;
-mod pool;
 
 pub use assist::{assist_flat_map, assist_flat_map_traced, assist_reduce, assist_reduce_traced};
-pub use chunks::{parallel_flat_map, parallel_flat_map_traced, parallel_map, parallel_map_traced};
-pub use pool::Pool;
 
 /// Number of hardware threads available to this process (at least 1).
 pub fn available_parallelism() -> usize {

@@ -1,105 +1,24 @@
-//! Loom-style stress tests: repeated spawn/join cycles under contention,
-//! cross-thread submission, and scheduling-independence of the chunked
-//! parallel loops. No loom in the offline tree, so these hammer the real
-//! primitives with enough iterations and thread counts to shake out
-//! ordering bugs; CI runs the suite both single-threaded
-//! (`RUST_TEST_THREADS=1`) and with default parallelism.
+//! Loom-style stress tests: scheduling-independence and nesting of the
+//! work-assisting claim loop. No loom in the offline tree, so these hammer
+//! the real primitives with enough iterations and thread counts to shake
+//! out ordering bugs; CI runs the suite both single-threaded
+//! (`RUST_TEST_THREADS=1`) and with default parallelism, and under Miri.
 
-use lubt_par::{parallel_flat_map, parallel_map, Pool};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-#[test]
-fn repeated_spawn_join_cycles_reuse_the_pool() {
-    let pool = Pool::new(4);
-    let counter = Arc::new(AtomicUsize::new(0));
-    for round in 0..200 {
-        for _ in 0..16 {
-            let counter = Arc::clone(&counter);
-            pool.spawn(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait();
-        assert_eq!(counter.load(Ordering::Relaxed), (round + 1) * 16);
-    }
-}
-
-#[test]
-fn contended_submission_from_many_threads() {
-    let pool = Arc::new(Pool::new(4));
-    let counter = Arc::new(AtomicUsize::new(0));
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            let pool = Arc::clone(&pool);
-            let counter = Arc::clone(&counter);
-            scope.spawn(move || {
-                for _ in 0..250 {
-                    let counter = Arc::clone(&counter);
-                    pool.spawn(move || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }
-    });
-    pool.wait();
-    assert_eq!(counter.load(Ordering::Relaxed), 8 * 250);
-}
-
-#[test]
-fn uneven_job_durations_all_complete() {
-    // Mix ~instant jobs with busy ones so stealing actually happens.
-    let pool = Pool::new(8);
-    let total = Arc::new(AtomicUsize::new(0));
-    for i in 0..300 {
-        let total = Arc::clone(&total);
-        pool.spawn(move || {
-            let spin = if i % 10 == 0 { 20_000 } else { 10 };
-            let mut acc = 0u64;
-            for k in 0..spin {
-                acc = acc.wrapping_mul(31).wrapping_add(k);
-            }
-            std::hint::black_box(acc);
-            total.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    pool.wait();
-    assert_eq!(total.load(Ordering::Relaxed), 300);
-}
-
-#[test]
-fn many_short_lived_pools() {
-    // Construction/teardown is itself a spawn/join cycle; hammer it.
-    for threads in [1, 2, 4] {
-        for _ in 0..30 {
-            let pool = Pool::new(threads);
-            let counter = Arc::new(AtomicUsize::new(0));
-            for _ in 0..8 {
-                let counter = Arc::clone(&counter);
-                pool.spawn(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            drop(pool); // drop drains and joins
-            assert_eq!(counter.load(Ordering::Relaxed), 8);
-        }
-    }
-}
+use lubt_par::assist_flat_map;
 
 #[test]
 fn chunked_loops_are_schedule_independent() {
     // Uneven per-index workloads (triangle rows) across many repetitions:
     // the merged output must always equal the serial order.
     let rows = 96;
-    let serial = parallel_flat_map(1, rows, 4, |i, out| {
+    let serial = assist_flat_map(1, rows, 4, |i, out| {
         for j in i + 1..rows {
             out.push((i, j, i * j));
         }
     });
     for rep in 0..20 {
         for threads in [2, 4, 8] {
-            let par = parallel_flat_map(threads, rows, 4, |i, out| {
+            let par = assist_flat_map(threads, rows, 4, |i, out| {
                 for j in i + 1..rows {
                     out.push((i, j, i * j));
                 }
@@ -110,9 +29,14 @@ fn chunked_loops_are_schedule_independent() {
 }
 
 #[test]
-fn nested_parallel_maps_do_not_deadlock() {
-    // Scoped loops spawn fresh threads, so nesting cannot starve a pool.
-    let out = parallel_map(4, 16, 1, |i| parallel_map(2, 8, 1, move |j| i * 8 + j));
+fn nested_assist_loops_do_not_deadlock() {
+    // Each call spawns its own scoped helpers and the caller always claims
+    // blocks itself, so an inner loop never waits on the outer one's workers.
+    let out = assist_flat_map(4, 16, 1, |i, out| {
+        out.push(assist_flat_map(2, 8, 1, move |j, inner| {
+            inner.push(i * 8 + j)
+        }));
+    });
     let flat: Vec<usize> = out.into_iter().flatten().collect();
     assert_eq!(flat, (0..128).collect::<Vec<_>>());
 }

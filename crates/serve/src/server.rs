@@ -58,7 +58,7 @@ struct Shared {
     inflight: AtomicUsize,
     /// Workers currently executing a request. Idle workers' cores are
     /// donated to the active solve's assisted intra-solve loops
-    /// (DESIGN.md §17) — donation never changes response bytes, only
+    /// (DESIGN.md §9) — donation never changes response bytes, only
     /// wall-clock.
     busy: AtomicUsize,
 }

@@ -51,7 +51,7 @@ mod tree;
 pub use bipartition::bipartition_topology;
 pub use builder::{ClusterId, MergeTreeBuilder};
 pub use error::TopologyError;
-pub use matching::{matching_topology, matching_topology_with_threads};
-pub use nearest_neighbor::{nearest_neighbor_topology, nearest_neighbor_topology_with_threads};
+pub use matching::matching_topology;
+pub use nearest_neighbor::nearest_neighbor_topology;
 pub use split::{split_degree_four, SplitResult};
 pub use tree::{NodeId, SourceMode, Topology};

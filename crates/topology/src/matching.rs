@@ -30,27 +30,6 @@ use lubt_geom::Point;
 /// }
 /// ```
 pub fn matching_topology(sinks: &[Point], mode: SourceMode) -> Topology {
-    matching_topology_with_threads(sinks, mode, 1)
-}
-
-/// [`matching_topology`] with each level's `O(k^2)` candidate-pair
-/// generation partitioned across `threads` workers (`0` = all cores, `1` =
-/// the exact sequential path).
-///
-/// Workers scan whole rows of the pair triangle into private buffers that
-/// merge in ascending row order — the same lexicographic `(i, j)` sequence
-/// the serial loop produces — and the subsequent by-distance sort is
-/// stable, so ties break identically and the greedy matching (hence the
-/// topology) is the same for every thread count.
-///
-/// # Panics
-///
-/// Panics when `sinks` is empty.
-pub fn matching_topology_with_threads(
-    sinks: &[Point],
-    mode: SourceMode,
-    threads: usize,
-) -> Topology {
     assert!(!sinks.is_empty(), "need at least one sink");
     let m = sinks.len();
     let mut b = MergeTreeBuilder::new(m);
@@ -64,13 +43,12 @@ pub fn matching_topology_with_threads(
     while level.len() > 1 {
         // All pairs sorted by distance; greedy disjoint selection.
         let k = level.len();
-        let grain = (k / lubt_par::resolve_threads(threads).max(1) / 4).max(1);
-        let row = |i: usize, out: &mut Vec<(usize, usize, f64)>| {
+        let mut pairs = Vec::with_capacity(k * (k - 1) / 2);
+        for i in 0..k {
             for j in i + 1..k {
-                out.push((i, j, level[i].1.dist(level[j].1)));
+                pairs.push((i, j, level[i].1.dist(level[j].1)));
             }
-        };
-        let mut pairs = lubt_par::parallel_flat_map(threads, k, grain, |i, buf| row(i, buf));
+        }
         pairs.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite distance"));
 
         let mut used = vec![false; k];
@@ -123,29 +101,6 @@ mod tests {
         assert_eq!(t.num_sinks(), 7);
         assert!(t.all_sinks_are_leaves());
         assert!(t.is_binary(SourceMode::Given));
-    }
-
-    #[test]
-    fn threads_do_not_change_the_topology() {
-        // Grid points create many exact distance ties, the hard case for
-        // merge-order determinism.
-        let sinks: Vec<Point> = (0..25)
-            .map(|i| Point::new(f64::from(i % 5), f64::from(i / 5)))
-            .collect();
-        for mode in [SourceMode::Free, SourceMode::Given] {
-            let base = matching_topology(&sinks, mode);
-            for threads in [2, 4, 8, 0] {
-                let t = matching_topology_with_threads(&sinks, mode, threads);
-                assert_eq!(t.num_nodes(), base.num_nodes(), "threads={threads}");
-                for node in 1..t.num_nodes() {
-                    assert_eq!(
-                        t.parent(crate::NodeId(node)),
-                        base.parent(crate::NodeId(node)),
-                        "threads={threads} node={node}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

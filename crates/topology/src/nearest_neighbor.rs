@@ -30,26 +30,6 @@ use lubt_geom::Point;
 /// assert_eq!(t.parent(t.sink_node(0)), t.parent(t.sink_node(1)));
 /// ```
 pub fn nearest_neighbor_topology(sinks: &[Point], mode: SourceMode) -> Topology {
-    nearest_neighbor_topology_with_threads(sinks, mode, 1)
-}
-
-/// [`nearest_neighbor_topology`] with the initial `O(m^2)` nearest-neighbor
-/// cache built by `threads` workers (`0` = all cores, `1` = the exact
-/// sequential path).
-///
-/// Each cache entry is an independent pure function of the sink set, so the
-/// parallel build is trivially deterministic: the returned topology is
-/// identical for every thread count. The merge loop itself stays
-/// sequential — each merge is `O(m)` and depends on the previous one.
-///
-/// # Panics
-///
-/// Panics when `sinks` is empty.
-pub fn nearest_neighbor_topology_with_threads(
-    sinks: &[Point],
-    mode: SourceMode,
-    threads: usize,
-) -> Topology {
     assert!(!sinks.is_empty(), "need at least one sink");
     let m = sinks.len();
     let mut b = MergeTreeBuilder::new(m);
@@ -96,9 +76,9 @@ pub fn nearest_neighbor_topology_with_threads(
         }
         best
     };
-    let grain = (m / lubt_par::resolve_threads(threads).max(1) / 4).max(1);
-    let mut nn: Vec<Option<(usize, f64)>> =
-        lubt_par::parallel_map(threads, clusters.len(), grain, |i| nearest_of(&clusters, i));
+    let mut nn: Vec<Option<(usize, f64)>> = (0..clusters.len())
+        .map(|i| nearest_of(&clusters, i))
+        .collect();
 
     let mut live = m;
     while live > 1 {
@@ -219,27 +199,6 @@ mod tests {
             if m >= 2 {
                 assert!(t.is_binary(SourceMode::Given), "m={m}");
                 assert_eq!(t.num_nodes(), 2 * m); // root + m sinks + (m-1) steiner
-            }
-        }
-    }
-
-    #[test]
-    fn threads_do_not_change_the_topology() {
-        let sinks: Vec<Point> = (0..33)
-            .map(|i| Point::new((i * 37 % 101) as f64, (i * 61 % 89) as f64))
-            .collect();
-        for mode in [SourceMode::Free, SourceMode::Given] {
-            let base = nearest_neighbor_topology(&sinks, mode);
-            for threads in [2, 4, 8, 0] {
-                let t = nearest_neighbor_topology_with_threads(&sinks, mode, threads);
-                assert_eq!(t.num_nodes(), base.num_nodes(), "threads={threads}");
-                for node in 1..t.num_nodes() {
-                    assert_eq!(
-                        t.parent(NodeId(node)),
-                        base.parent(NodeId(node)),
-                        "threads={threads} node={node}"
-                    );
-                }
             }
         }
     }

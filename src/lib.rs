@@ -9,7 +9,7 @@
 //! * [`obs`] — solve-trace observability: recorders, counters, timers.
 //! * [`geom`] — Manhattan geometry: points, TRRs, octilinear regions.
 //! * [`lp`] — linear programming: simplex and interior-point solvers.
-//! * [`par`] — work-stealing thread pool and deterministic parallel loops.
+//! * [`par`] — the deterministic work-assisting parallel loop.
 //! * [`topology`] — rooted routing-tree topologies and generators.
 //! * [`delay`] — linear and Elmore delay models.
 //! * [`core`] — the Edge-Based Formulation (EBF) and the geometric embedder.
