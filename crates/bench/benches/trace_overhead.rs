@@ -3,7 +3,7 @@
 //!
 //! The `Recorder` indirection is always present in the solver hot loops;
 //! the question this bench answers is what the *enabled* path (atomic
-//! counter bumps, mutex-guarded maps, phase timers) adds over the noop
+//! counter bumps, mutex-guarded maps, span timing) adds over the noop
 //! recorder, and that the traced solve still computes the same bits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

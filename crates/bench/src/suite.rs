@@ -16,11 +16,12 @@
 //! halves disagree, so a benchmark file is also a determinism audit.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use lubt_core::{BatchSolver, DelayBounds, EbfSolver, LubtProblem, LubtSolution, SolverBackend};
 use lubt_data::{synthetic, Instance};
 use lubt_obs::json::{json_escape, json_f64};
-use lubt_obs::{AggregateTrace, PhaseTimer, TraceRecorder};
+use lubt_obs::AggregateTrace;
 use lubt_topology::{nearest_neighbor_topology, SourceMode};
 
 /// Schema tag of the benchmark document.
@@ -301,17 +302,14 @@ fn solve_entries(
         let batch = BatchSolver::new()
             .with_threads(threads)
             .with_solver(EbfSolver::new().with_backend(backend).with_audit(audit));
-        let rec = TraceRecorder::new();
         let key = if audit {
             format!("time.suite.audit_overhead.{label}.threads{threads}")
         } else {
             format!("time.suite.{label}.threads{threads}")
         };
-        let (results, _traces, agg) = {
-            let _t = PhaseTimer::new(&rec, &key);
-            batch.solve_all_aggregated(&problems)
-        };
-        wall.insert(key.clone(), rec.snapshot().timing_ns(&key));
+        let start = Instant::now();
+        let (results, _traces, agg) = batch.solve_all_aggregated(&problems);
+        wall.insert(key, elapsed_ns(start));
         if core {
             aggregate.merge(&agg);
         } else {
@@ -341,6 +339,11 @@ fn solve_entries(
         .collect::<Option<Vec<_>>>()
         .expect("every entry belongs to exactly one batch group");
     Ok((rows, aggregate, extended))
+}
+
+/// Wall-clock nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The benchmark row of one solved entry (all deterministic facts).
@@ -373,48 +376,47 @@ fn profile_overhead(
 ) -> Result<(), String> {
     for leg in ["traced", "untraced"] {
         let mut rows: Vec<Option<InstanceRow>> = vec![None; entries.len()];
-        let rec = TraceRecorder::new();
-        let key = format!("time.suite.profile_overhead.{leg}.threads1");
-        {
-            let _t = PhaseTimer::new(&rec, &key);
-            for (label, backend, _) in GROUPS {
-                let indices: Vec<usize> = (0..entries.len())
-                    .filter(|&i| entries[i].group == label)
-                    .collect();
-                if indices.is_empty() {
-                    continue;
+        let start = Instant::now();
+        for (label, backend, _) in GROUPS {
+            let indices: Vec<usize> = (0..entries.len())
+                .filter(|&i| entries[i].group == label)
+                .collect();
+            if indices.is_empty() {
+                continue;
+            }
+            let problems: Vec<LubtProblem> = indices
+                .iter()
+                .map(|&i| entries[i].problem.clone())
+                .collect();
+            let batch = BatchSolver::new()
+                .with_threads(1)
+                .with_solver(EbfSolver::new().with_backend(backend));
+            let results = if leg == "traced" {
+                let (results, trace) = batch.solve_all_traced(&problems);
+                if trace.spans.is_empty() {
+                    return Err(format!(
+                        "profile_overhead: traced leg of {label} produced no spans"
+                    ));
                 }
-                let problems: Vec<LubtProblem> = indices
-                    .iter()
-                    .map(|&i| entries[i].problem.clone())
-                    .collect();
-                let batch = BatchSolver::new()
-                    .with_threads(1)
-                    .with_solver(EbfSolver::new().with_backend(backend));
-                let results = if leg == "traced" {
-                    let (results, trace) = batch.solve_all_traced(&problems);
-                    if trace.spans.is_empty() {
-                        return Err(format!(
-                            "profile_overhead: traced leg of {label} produced no spans"
-                        ));
-                    }
-                    results
-                } else {
-                    batch.solve_all(&problems)
-                };
-                for (&i, result) in indices.iter().zip(results) {
-                    let entry = &entries[i];
-                    let solution = result.map_err(|e| {
-                        format!(
-                            "profile_overhead {}/{}: {e}",
-                            entry.name, entry.backend_label
-                        )
-                    })?;
-                    rows[i] = Some(row_for(entry, &solution));
-                }
+                results
+            } else {
+                batch.solve_all(&problems)
+            };
+            for (&i, result) in indices.iter().zip(results) {
+                let entry = &entries[i];
+                let solution = result.map_err(|e| {
+                    format!(
+                        "profile_overhead {}/{}: {e}",
+                        entry.name, entry.backend_label
+                    )
+                })?;
+                rows[i] = Some(row_for(entry, &solution));
             }
         }
-        wall.insert(key.clone(), rec.snapshot().timing_ns(&key));
+        wall.insert(
+            format!("time.suite.profile_overhead.{leg}.threads1"),
+            elapsed_ns(start),
+        );
         let rows = rows
             .into_iter()
             .collect::<Option<Vec<_>>>()
@@ -449,13 +451,12 @@ pub fn par_intra_scaling(m: usize, wall: &mut BTreeMap<String, u64>) -> Result<(
         let solver = EbfSolver::new()
             .with_backend(SolverBackend::Revised)
             .with_threads(threads);
-        let rec = TraceRecorder::new();
-        let key = format!("time.suite.par_intra.threads{threads}");
-        let (outcome, trace) = {
-            let _t = PhaseTimer::new(&rec, &key);
-            solver.solve_traced(&problem)
-        };
-        wall.insert(key.clone(), rec.snapshot().timing_ns(&key));
+        let start = Instant::now();
+        let (outcome, trace) = solver.solve_traced(&problem);
+        wall.insert(
+            format!("time.suite.par_intra.threads{threads}"),
+            elapsed_ns(start),
+        );
         let (lengths, report) =
             outcome.map_err(|e| format!("par_intra u{m} at {threads} threads: {e}"))?;
         let bits: Vec<u64> = lengths.iter().map(|v| v.to_bits()).collect();

@@ -5,10 +5,8 @@
 //! "for large problems"; this experiment makes the crossover measurable on
 //! this implementation (see EXPERIMENTS.md for the recorded verdict).
 //!
-//! Timing goes through the `lubt-obs` phase-timer path rather than raw
-//! `Instant::now()` bookkeeping, so this table and the `lubt bench` suite
-//! measure with the same clock discipline and the recorded phases land in
-//! the standard `time.*` (determinism-exempt) namespace.
+//! Each cell is the wall clock of one call, timed with `Instant` around
+//! the call — the same way the `lubt bench` suite times its groups.
 
 use crate::table::{num, render};
 use lubt_core::{
@@ -16,8 +14,8 @@ use lubt_core::{
 };
 use lubt_data::Instance;
 use lubt_obs::json::json_f64;
-use lubt_obs::{PhaseTimer, TraceRecorder};
 use lubt_topology::{nearest_neighbor_topology, SourceMode};
+use std::time::Instant;
 
 /// Sink count beyond which the dense-Cholesky interior point (O(rows³)
 /// per iteration) is skipped and reported as `NaN` / `-` / `null`.
@@ -39,11 +37,6 @@ pub struct TimingRow {
     pub steiner_rows: usize,
     /// Total available pairs.
     pub total_pairs: usize,
-}
-
-/// Seconds recorded under `key` by `rec`, as `f64`.
-fn phase_seconds(rec: &TraceRecorder, key: &str) -> f64 {
-    rec.snapshot().timing_ns(key) as f64 / 1e9
 }
 
 /// Measures the scaling table on subsamples of one instance, skipping the
@@ -80,39 +73,31 @@ pub fn run_with_interior_cap(
             DelayBounds::uniform(m, 0.7 * radius, 1.2 * radius),
         )?;
 
-        // One recorder per row: the phase keys don't collide across sizes
-        // and each accumulated total is exactly one measurement.
-        let rec = TraceRecorder::new();
-        let report = {
-            let _t = PhaseTimer::new(&rec, "time.bench.simplex");
-            let (_, report) = EbfSolver::new()
-                .with_backend(SolverBackend::Simplex)
-                .solve(&problem)?;
-            report
-        };
+        let start = Instant::now();
+        let (_, report) = EbfSolver::new()
+            .with_backend(SolverBackend::Simplex)
+            .solve(&problem)?;
+        let simplex_s = start.elapsed().as_secs_f64();
 
         let interior_s = if m <= interior_cap {
-            {
-                let _t = PhaseTimer::new(&rec, "time.bench.interior");
-                let _ = EbfSolver::new()
-                    .with_backend(SolverBackend::InteriorPoint)
-                    .solve(&problem)?;
-            }
-            phase_seconds(&rec, "time.bench.interior")
+            let start = Instant::now();
+            let _ = EbfSolver::new()
+                .with_backend(SolverBackend::InteriorPoint)
+                .solve(&problem)?;
+            start.elapsed().as_secs_f64()
         } else {
             f64::NAN
         };
 
-        {
-            let _t = PhaseTimer::new(&rec, "time.bench.zero_skew");
-            let _ = zero_skew_edge_lengths(&topo, &inst.sinks, Some(src), Some(1.5 * radius))?;
-        }
+        let start = Instant::now();
+        let _ = zero_skew_edge_lengths(&topo, &inst.sinks, Some(src), Some(1.5 * radius))?;
+        let zero_skew_s = start.elapsed().as_secs_f64();
 
         rows.push(TimingRow {
             sinks: m,
-            simplex_s: phase_seconds(&rec, "time.bench.simplex"),
+            simplex_s,
             interior_s,
-            zero_skew_s: phase_seconds(&rec, "time.bench.zero_skew"),
+            zero_skew_s,
             steiner_rows: report.steiner_rows,
             total_pairs: report.total_pairs,
         });

@@ -6,7 +6,7 @@ use crate::{LubtError, LubtProblem};
 use lubt_lp::{
     Cmp, InteriorPointSolver, LinExpr, LpSolve, Model, RevisedSolver, SimplexSolver, Status, Var,
 };
-use lubt_obs::{PhaseTimer, Recorder, SolveTrace, SpanGuard, TraceRecorder};
+use lubt_obs::{Recorder, SolveTrace, SpanGuard, TraceRecorder};
 use lubt_topology::NodeId;
 use std::sync::Arc;
 
@@ -276,8 +276,10 @@ impl EbfSolver {
 
     /// Sends solve-path instrumentation (`ebf.*` separation counters,
     /// `simplex.*` pivot counters, `par.*` oracle scheduling counters,
-    /// `time.*` phase timers) to `recorder`. The default is a no-op sink;
-    /// [`EbfSolver::solve_traced`] wires a [`TraceRecorder`] for you.
+    /// and the `solve` span tree whose `lp`, `separate`, `audit` and `dp`
+    /// spans give the `time.*` phase totals) to `recorder`. The default
+    /// is a no-op sink; [`EbfSolver::solve_traced`] wires a
+    /// [`TraceRecorder`] for you.
     ///
     /// Recording never changes the solve: the recorder observes the pivot
     /// and cut sequence, it does not influence it.
@@ -367,7 +369,7 @@ impl EbfSolver {
     /// The interior-point backend carries no simplex basis, so only the
     /// primal side (row residuals, variable bounds, objective) is checked
     /// there. Verification outcomes land on the recorder under `audit.*`
-    /// counters and the `time.audit` phase timer.
+    /// counters, timed by the `audit` span (`time.audit`).
     #[must_use]
     pub fn with_audit(mut self, enabled: bool) -> Self {
         self.audit = enabled;
@@ -468,7 +470,6 @@ impl EbfSolver {
                            sol: &lubt_lp::Solution,
                            cert: Option<&lubt_lp::Certificate>|
          -> Result<(), LubtError> {
-            let _t = PhaseTimer::new(rec, "time.audit");
             let _span = SpanGuard::enter(rec, "audit");
             let (findings, verified_key) = match self.backend {
                 // The IPM carries no simplex basis, so only the primal side
@@ -509,7 +510,6 @@ impl EbfSolver {
 
         let solve_once = |model: &Model| -> Result<lubt_lp::Solution, LubtError> {
             let (sol, cert) = {
-                let _t = PhaseTimer::new(rec, "time.lp");
                 let _span = SpanGuard::enter(rec, "lp");
                 match self.backend {
                     SolverBackend::Simplex => {
@@ -642,7 +642,6 @@ impl EbfSolver {
                         // of the solution when auditing — the certificate
                         // lives on the session itself).
                         let (status, iterations, lengths, audited) = {
-                            let _t = PhaseTimer::new(rec, "time.lp");
                             let _span = SpanGuard::enter(rec, "lp");
                             let sol = session.resolve()?;
                             (
@@ -674,7 +673,6 @@ impl EbfSolver {
                         lp_iterations = iterations;
                         rounds += 1;
                         let violated = {
-                            let _t = PhaseTimer::new(rec, "time.separation");
                             let _span = SpanGuard::enter(rec, "separate");
                             crate::steiner::violated_pairs_cached(
                                 problem,
@@ -745,7 +743,6 @@ impl EbfSolver {
                     rounds += 1;
                     let lengths = extract(&sol);
                     let violated = {
-                        let _t = PhaseTimer::new(rec, "time.separation");
                         let _span = SpanGuard::enter(rec, "separate");
                         crate::steiner::violated_pairs_cached(
                             problem,
@@ -862,7 +859,6 @@ impl EbfSolver {
 
         let max_pivots = self.max_lp_iterations.map_or(u64::MAX, |l| l as u64);
         let outcome = {
-            let _t = PhaseTimer::new(rec, "time.dp");
             let _span = SpanGuard::enter(rec, "dp");
             if rec.enabled() {
                 // Phase spans are synthesized from the DP's own stage
@@ -916,7 +912,6 @@ impl EbfSolver {
                     // §4.3 LP — independently assembled window rows plus
                     // all C(m, 2) pair rows — like the certificate-free
                     // interior-point audit.
-                    let _t = PhaseTimer::new(rec, "time.audit");
                     let _span = SpanGuard::enter(rec, "audit");
                     let (mut model, edge_vars) = base_model(problem);
                     let var_of = |node: NodeId| edge_vars[node.index() - 1];
@@ -1458,6 +1453,44 @@ mod tests {
         assert!(trace.timings_ns.contains_key("time.separation"));
         // Per-round events landed in the bounded log.
         assert!(trace.events.iter().any(|e| e.key == "ebf.round"));
+    }
+
+    #[test]
+    fn time_lp_sums_every_outermost_lp_span_including_the_cold_seed_solve() {
+        let p = LubtBuilder::new(square())
+            .source(Point::new(5.0, 5.0))
+            .bounds(DelayBounds::uniform(4, 12.0, 15.0))
+            .build()
+            .unwrap();
+        for backend in [SolverBackend::Simplex, SolverBackend::Revised] {
+            let (result, trace) = EbfSolver::new().with_backend(backend).solve_traced(&p);
+            result.unwrap();
+            let lp_spans: Vec<(String, u64)> = trace
+                .spans
+                .flatten()
+                .into_iter()
+                .filter(|(path, _, _)| {
+                    let segs: Vec<&str> = path.split('/').collect();
+                    let (last, ancestors) = segs.split_last().unwrap();
+                    *last == "lp" && !ancestors.contains(&"lp")
+                })
+                .map(|(path, _, ns)| (path, ns))
+                .collect();
+            // The lazy path solves the seed model cold in `solve/lp`, then
+            // resolves inside each separation round.
+            assert!(
+                lp_spans.iter().any(|(path, _)| path == "solve/lp"),
+                "{backend:?}: {lp_spans:?}"
+            );
+            assert!(
+                lp_spans
+                    .iter()
+                    .any(|(path, _)| path.starts_with("solve/round.")),
+                "{backend:?}: {lp_spans:?}"
+            );
+            let total: u64 = lp_spans.iter().map(|(_, ns)| ns).sum();
+            assert_eq!(trace.timing_ns("time.lp"), total, "{backend:?}");
+        }
     }
 
     #[test]

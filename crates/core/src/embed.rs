@@ -9,7 +9,7 @@
 
 use crate::LubtError;
 use lubt_geom::{Point, Trr};
-use lubt_obs::{NoopRecorder, PhaseTimer, Recorder};
+use lubt_obs::{NoopRecorder, Recorder};
 use lubt_topology::Topology;
 
 /// Where to place a node inside its feasible intersection.
@@ -65,7 +65,8 @@ pub fn embed_tree(
 /// * `embed.slack_rescues` — intersections that were empty in exact
 ///   arithmetic and only succeeded after the numeric-slack expansion
 ///   (LP rounding absorbed);
-/// * `time.embed` — wall-clock for the whole embedding.
+/// * the `embed` span — wall clock for the whole embedding, reported as
+///   `time.embed`.
 ///
 /// The recorder observes the embedding, it never changes placements.
 pub fn embed_tree_traced(
@@ -78,7 +79,6 @@ pub fn embed_tree_traced(
 ) -> Result<Vec<Point>, LubtError> {
     assert_eq!(lengths.len(), topo.num_nodes(), "one length per node");
     assert_eq!(sinks.len(), topo.num_sinks(), "one location per sink");
-    let _t = PhaseTimer::new(rec, "time.embed");
     let _span = lubt_obs::SpanGuard::enter(rec, "embed");
 
     // Numeric slack proportional to the coordinate scale.

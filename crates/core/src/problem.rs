@@ -1,8 +1,8 @@
-use crate::ebf::{EbfSolver, SolverBackend, SteinerMode};
+use crate::ebf::{EbfReport, EbfSolver, SolverBackend, SteinerMode};
 use crate::embed::{embed_tree, embed_tree_traced, PlacementPolicy};
 use crate::{DelayBounds, LubtError, LubtSolution};
 use lubt_geom::Point;
-use lubt_obs::{Recorder, SolveTrace, TraceRecorder};
+use lubt_obs::{Recorder, SolveTrace, SpanGuard, TraceRecorder};
 use lubt_topology::{nearest_neighbor_topology, NodeId, SourceMode, Topology};
 use std::sync::Arc;
 
@@ -525,37 +525,12 @@ impl LubtBuilder {
         rec: Arc<dyn Recorder>,
     ) -> Result<(LubtSolution, Option<WarmLubtSession>), LubtError> {
         let problem = self.build()?;
-        let mut solver = EbfSolver::new()
-            .with_backend(self.backend)
-            .with_steiner_mode(self.steiner_mode)
-            .with_threads(self.threads)
-            .with_audit(self.audit)
-            .with_prelint(self.prelint)
-            .with_recorder(Arc::clone(&rec));
-        if let Some(limit) = self.max_lp_iterations {
-            solver = solver.with_max_lp_iterations(limit);
-        }
-        let (lengths, report, warm) = solver.solve_retaining(&problem)?;
-        let positions = embed_tree_traced(
-            problem.topology(),
-            problem.sinks(),
-            problem.source(),
-            &lengths,
-            self.placement,
-            &*rec,
-        )?;
-        let solution = LubtSolution::new(problem.clone(), lengths, positions, report);
-        if self.audit {
-            let findings = solution.audit_tree();
-            if !findings.is_empty() {
-                return Err(LubtError::Audit(findings));
-            }
-            // Audited solves are not retained: a warm replay would skip
-            // the per-request certificate verification that `audit`
-            // promises, so the audit surface always solves cold.
-            return Ok((solution, None));
-        }
-        let warm = warm.map(|ebf| WarmLubtSession {
+        let (lengths, report, warm) = self.ebf_solver(&rec).solve_retaining(&problem)?;
+        let solution = self.embed_and_audit(problem.clone(), lengths, report, &*rec)?;
+        // Audited solves are not retained: a warm replay would skip the
+        // per-request certificate verification that `audit` promises, so
+        // the audit surface always solves cold.
+        let warm = warm.filter(|_| !self.audit).map(|ebf| WarmLubtSession {
             ebf,
             problem,
             placement: self.placement,
@@ -573,30 +548,47 @@ impl LubtBuilder {
     /// See [`LubtProblem::solve`].
     pub fn solve_recorded(&self, rec: Arc<dyn Recorder>) -> Result<LubtSolution, LubtError> {
         let problem = self.build()?;
-        let mut solver = EbfSolver::new()
+        let (lengths, report) = self.ebf_solver(&rec).solve(&problem)?;
+        self.embed_and_audit(problem, lengths, report, &*rec)
+    }
+
+    /// The EBF solver this builder configures, recording into `rec`.
+    fn ebf_solver(&self, rec: &Arc<dyn Recorder>) -> EbfSolver {
+        let solver = EbfSolver::new()
             .with_backend(self.backend)
             .with_steiner_mode(self.steiner_mode)
             .with_threads(self.threads)
             .with_audit(self.audit)
             .with_prelint(self.prelint)
-            .with_recorder(Arc::clone(&rec));
-        if let Some(limit) = self.max_lp_iterations {
-            solver = solver.with_max_lp_iterations(limit);
+            .with_recorder(Arc::clone(rec));
+        match self.max_lp_iterations {
+            Some(limit) => solver.with_max_lp_iterations(limit),
+            None => solver,
         }
-        let (lengths, report) = solver.solve(&problem)?;
+    }
+
+    /// Embeds `lengths` into the solution and, when auditing, runs the §5
+    /// embedding audit (exact pathlengths vs delay windows) in an `audit`
+    /// span, counting `audit.tree_verified` or `audit.failures`.
+    fn embed_and_audit(
+        &self,
+        problem: LubtProblem,
+        lengths: Vec<f64>,
+        report: EbfReport,
+        rec: &dyn Recorder,
+    ) -> Result<LubtSolution, LubtError> {
         let positions = embed_tree_traced(
             problem.topology(),
             problem.sinks(),
             problem.source(),
             &lengths,
             self.placement,
-            &*rec,
+            rec,
         )?;
         let solution = LubtSolution::new(problem, lengths, positions, report);
         if self.audit {
-            // §5 embedding audit: exact pathlengths vs delay windows.
             let findings = {
-                let _t = lubt_obs::PhaseTimer::new(&*rec, "time.audit");
+                let _span = SpanGuard::enter(rec, "audit");
                 solution.audit_tree()
             };
             if !findings.is_empty() {
@@ -747,6 +739,33 @@ mod tests {
         assert!(trace.counter("audit.optimality_verified") >= 1, "{trace:?}");
         assert_eq!(trace.counter("audit.tree_verified"), 1);
         assert_eq!(trace.counter("audit.failures"), 0);
+    }
+
+    #[test]
+    fn audited_solves_record_the_tree_audit_on_both_entry_points() {
+        let builder = LubtBuilder::new(square_sinks())
+            .source(Point::new(5.0, 5.0))
+            .bounds(DelayBounds::uniform(4, 12.0, 15.0))
+            .audit(true);
+        let plain = Arc::new(TraceRecorder::new());
+        builder
+            .solve_recorded(Arc::clone(&plain) as Arc<dyn Recorder>)
+            .unwrap();
+        let retaining = Arc::new(TraceRecorder::new());
+        let (_, warm) = builder
+            .solve_retaining_recorded(Arc::clone(&retaining) as Arc<dyn Recorder>)
+            .unwrap();
+        assert!(warm.is_none(), "audited solves are never retained");
+        let (plain, retaining) = (plain.snapshot(), retaining.snapshot());
+        for trace in [&plain, &retaining] {
+            let shape = trace.spans.shape_text();
+            assert_eq!(trace.counter("audit.tree_verified"), 1, "{trace:?}");
+            // The tree audit runs after the `solve` span has closed.
+            assert!(shape.lines().any(|l| l == "audit 1"), "{shape}");
+            assert!(trace.timings_ns.contains_key("time.audit"));
+        }
+        assert_eq!(plain.counters, retaining.counters);
+        assert_eq!(plain.spans.shape_text(), retaining.spans.shape_text());
     }
 
     #[test]

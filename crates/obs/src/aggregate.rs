@@ -21,7 +21,7 @@ use crate::trace::SolveTrace;
 
 /// Key prefixes whose values may legitimately differ between runs or
 /// thread counts: claim-loop scheduling (`par.*`, `pool.*`) and
-/// wall-clock phase timers (`time.*`). Everything else a recorder
+/// wall-clock phase totals (`time.*`). Everything else a recorder
 /// collects is covered by the §9 determinism contract.
 pub const DETERMINISM_EXEMPT_PREFIXES: [&str; 3] = ["par.", "pool.", "time."];
 
@@ -72,7 +72,7 @@ pub struct AggregateTrace {
     pub sched_maxima: BTreeMap<String, u64>,
     /// Wall-clock phase totals, summed — determinism-exempt.
     pub timings_ns: BTreeMap<String, u64>,
-    /// Per-solve distribution of each phase timer — determinism-exempt.
+    /// Per-solve distribution of each phase total — determinism-exempt.
     pub timing_histograms: BTreeMap<String, Histogram>,
 }
 
@@ -230,7 +230,7 @@ impl AggregateTrace {
     ///
     /// Deterministic counters become `<name>_total` counters, maxima
     /// become `<name>_max` gauges, per-solve distributions become classic
-    /// `histogram` families named `<name>_per_solve`, and phase timers
+    /// `histogram` families named `<name>_per_solve`, and phase totals
     /// become `<name>_seconds_total` counters. See [`crate::prometheus`]
     /// for the naming rules.
     pub fn to_prometheus(&self) -> String {
@@ -337,7 +337,7 @@ mod tests {
         rec.record_max("par.queue_high_water", steals + 1);
         rec.record_max("ebf.peak_violations", pivots / 2);
         rec.gauge("simplex.limit_fraction", 0.25);
-        rec.add_time("time.lp", lp_ns);
+        rec.span_record("lp", 1, lp_ns);
         rec.event("ebf.round", "round 1");
         rec.snapshot()
     }

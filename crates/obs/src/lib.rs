@@ -4,8 +4,9 @@
 //! geometric embedding, parallel batch scheduling — reports what it
 //! did through the [`Recorder`] trait defined here. The crate is
 //! dependency-free and deliberately tiny: a recorder is a sink for
-//! monotonic counters, running maxima, gauges, per-phase wall-clock
-//! timers, and a bounded event log.
+//! monotonic counters, running maxima, gauges, a bounded event log, and
+//! hierarchical spans — the one clock, from which the per-phase `time.*`
+//! wall-clock totals are derived.
 //!
 //! Two recorders ship with the crate:
 //!
@@ -30,7 +31,7 @@
 //! counts (DESIGN.md §9). Traces respect that split structurally: counter,
 //! maximum, and gauge totals from deterministic phases reproduce across
 //! runs, while wall-clock timings (and scheduling-dependent keys such as
-//! `par.*` steal counts) live in clearly separated sections of the JSON
+//! `par.*` claim counts) live in clearly separated sections of the JSON
 //! document and are exempt from the contract. The default (untraced)
 //! output never contains a trace at all.
 //!
@@ -60,8 +61,6 @@ mod trace;
 
 pub use aggregate::{is_determinism_exempt_key, AggregateTrace, DETERMINISM_EXEMPT_PREFIXES};
 pub use histogram::Histogram;
-pub use recorder::{
-    noop, NoopRecorder, PhaseTimer, Recorder, SpanGuard, TraceRecorder, DEFAULT_EVENT_CAP,
-};
+pub use recorder::{noop, NoopRecorder, Recorder, SpanGuard, TraceRecorder, DEFAULT_EVENT_CAP};
 pub use span::{lint_folded, SpanNode, SpanTree};
 pub use trace::{SolveTrace, TraceEvent};

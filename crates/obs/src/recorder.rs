@@ -11,10 +11,11 @@ use crate::trace::{SolveTrace, TraceEvent};
 /// Sink for solve-path instrumentation.
 ///
 /// Implementations must be cheap and thread-safe: the simplex inner loop,
-/// the separation oracle, and every pool worker call into the same
+/// the separation oracle, and every claim-loop worker call into the same
 /// recorder concurrently. Keys are dotted paths (`"simplex.pivots"`,
-/// `"ebf.rounds"`, `"par.worker3.steals"`); the instrumented code owns the
-/// namespace, the recorder just accumulates.
+/// `"ebf.rounds"`, `"par.assist.claims"`); the instrumented code owns the
+/// namespace, the recorder just accumulates. Wall clock is recorded only
+/// through the span methods.
 ///
 /// The `Debug` supertrait keeps `#[derive(Debug)]` working on solver
 /// structs that hold an `Arc<dyn Recorder>`.
@@ -32,12 +33,6 @@ pub trait Recorder: Send + Sync + std::fmt::Debug {
 
     /// Sets the gauge `key` to `value` (last write wins).
     fn gauge(&self, key: &str, value: f64);
-
-    /// Adds `nanos` of wall-clock time to the phase timer `key`.
-    ///
-    /// Timings are reported in a separate section of the trace document
-    /// and are exempt from the determinism contract.
-    fn add_time(&self, key: &str, nanos: u64);
 
     /// Appends a message to the bounded event log. Once the log is full
     /// further events are counted but dropped.
@@ -81,7 +76,6 @@ impl Recorder for NoopRecorder {
     fn incr(&self, _key: &str, _delta: u64) {}
     fn record_max(&self, _key: &str, _value: u64) {}
     fn gauge(&self, _key: &str, _value: f64) {}
-    fn add_time(&self, _key: &str, _nanos: u64) {}
     fn event(&self, _key: &str, _message: &str) {}
 }
 
@@ -116,7 +110,6 @@ struct TraceInner {
     counters: BTreeMap<String, u64>,
     maxima: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    timings_ns: BTreeMap<String, u64>,
     events: Vec<TraceEvent>,
     events_dropped: u64,
     /// Span arena; node 0 is a synthetic root that never appears in the
@@ -134,7 +127,6 @@ impl Default for TraceInner {
             counters: BTreeMap::new(),
             maxima: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            timings_ns: BTreeMap::new(),
             events: Vec::new(),
             events_dropped: 0,
             span_nodes: vec![SpanArenaNode::new("")],
@@ -226,17 +218,19 @@ impl TraceRecorder {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Copies the current state into an immutable [`SolveTrace`].
+    /// Copies the current state into an immutable [`SolveTrace`], with
+    /// the `time.*` phase totals derived from the span tree.
     pub fn snapshot(&self) -> SolveTrace {
         let inner = self.locked();
+        let spans = inner.span_tree();
         SolveTrace {
             counters: inner.counters.clone(),
             maxima: inner.maxima.clone(),
             gauges: inner.gauges.clone(),
-            timings_ns: inner.timings_ns.clone(),
+            timings_ns: spans.phase_timings(),
             events: inner.events.clone(),
             events_dropped: inner.events_dropped,
-            spans: inner.span_tree(),
+            spans,
         }
     }
 }
@@ -261,12 +255,6 @@ impl Recorder for TraceRecorder {
     fn gauge(&self, key: &str, value: f64) {
         let mut inner = self.locked();
         inner.gauges.insert(key.to_string(), value);
-    }
-
-    fn add_time(&self, key: &str, nanos: u64) {
-        let mut inner = self.locked();
-        let slot = inner.timings_ns.entry(key.to_string()).or_insert(0);
-        *slot = slot.saturating_add(nanos);
     }
 
     fn event(&self, key: &str, message: &str) {
@@ -314,43 +302,6 @@ impl Recorder for TraceRecorder {
     }
 }
 
-/// Guard that adds the elapsed wall-clock time to a phase timer on drop.
-///
-/// # Example
-///
-/// ```
-/// use lubt_obs::{PhaseTimer, TraceRecorder};
-/// let rec = TraceRecorder::new();
-/// {
-///     let _t = PhaseTimer::new(&rec, "time.demo");
-///     // ... timed work ...
-/// }
-/// assert!(rec.snapshot().timings_ns.contains_key("time.demo"));
-/// ```
-pub struct PhaseTimer<'a> {
-    rec: &'a dyn Recorder,
-    key: &'a str,
-    start: Instant,
-}
-
-impl<'a> PhaseTimer<'a> {
-    /// Starts timing `key` against `rec`.
-    pub fn new(rec: &'a dyn Recorder, key: &'a str) -> Self {
-        PhaseTimer {
-            rec,
-            key,
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.rec.add_time(self.key, nanos);
-    }
-}
-
 /// RAII scope for one span: [`Recorder::span_enter`] on construction,
 /// [`Recorder::span_exit`] with the elapsed wall clock on drop. The span
 /// must be entered and exited on the same thread — the recorder keys its
@@ -358,7 +309,9 @@ impl Drop for PhaseTimer<'_> {
 /// holding a `&dyn` borrow used on drop).
 ///
 /// On a disabled recorder the guard is fully disarmed: no recorder calls,
-/// no `Instant::now`, so untraced hot paths pay one virtual call.
+/// no `Instant::now`, so untraced hot paths pay one virtual call. Spans
+/// are the only clock: a snapshot derives its `time.*` phase totals from
+/// span durations.
 ///
 /// # Example
 ///
@@ -369,7 +322,10 @@ impl Drop for PhaseTimer<'_> {
 ///     let _solve = SpanGuard::enter(&rec, "solve");
 ///     let _lp = SpanGuard::enter(&rec, "lp");
 /// }
-/// assert_eq!(rec.snapshot().spans.shape_text(), "solve 1\nsolve/lp 1\n");
+/// let trace = rec.snapshot();
+/// assert_eq!(trace.spans.shape_text(), "solve 1\nsolve/lp 1\n");
+/// // The `lp` span also gives the `time.lp` phase total.
+/// assert!(trace.timings_ns.contains_key("time.lp"));
 /// ```
 pub struct SpanGuard<'a> {
     rec: Option<&'a dyn Recorder>,
@@ -501,15 +457,16 @@ mod tests {
         rec.incr("after", 1);
         rec.record_max("m", 3);
         rec.gauge("g", 1.5);
-        rec.add_time("t", 10);
         rec.event("k", "still alive");
         rec.span_enter("s");
         rec.span_exit(5);
         rec.span_record("s/child", 1, 2);
+        rec.span_record("lp", 1, 10);
         let t = rec.snapshot();
         assert_eq!(t.counter("before"), 1);
         assert_eq!(t.counter("after"), 1);
-        assert_eq!(t.spans.shape_text(), "s 1\ns/child 1\n");
+        assert_eq!(t.spans.shape_text(), "lp 1\ns 1\ns/child 1\n");
+        assert_eq!(t.timing_ns("time.lp"), 10);
     }
 
     #[test]

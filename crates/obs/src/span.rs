@@ -1,9 +1,10 @@
-//! Hierarchical span profiles: the parent/child counterpart of the flat
-//! `time.*` phase timers.
+//! Hierarchical span profiles: the one clock of the trace document.
 //!
-//! A [`SpanTree`] answers attribution questions the flat timers cannot —
-//! "separation round 7 spent 80% of its LP time in refactorization" needs
-//! a parent/child structure, not a sum. The tree splits along the same
+//! A [`SpanTree`] answers attribution questions a flat per-phase total
+//! cannot — "separation round 7 spent 80% of its LP time in
+//! refactorization" needs a parent/child structure, not a sum. The flat
+//! `time.*` phase totals are derived from the tree ([`PHASE_SPANS`]), so
+//! the two views always agree. The tree splits along the same
 //! determinism seam as the rest of the trace document (DESIGN.md §16):
 //!
 //! * **Shape** — span *paths*, per-span *hit counts*, and child *order*
@@ -20,7 +21,23 @@
 //! views; the tree itself is what travels inside a
 //! [`crate::SolveTrace`].
 
+use std::collections::BTreeMap;
+
 use crate::json::json_escape;
+
+/// The `time.*` phase totals and the span name each one is derived from.
+/// [`crate::TraceRecorder::snapshot`] fills
+/// [`crate::SolveTrace::timings_ns`] from this table: each key is the
+/// summed wall clock of the outermost spans of its name, and a key whose
+/// span never ran is absent.
+pub(crate) const PHASE_SPANS: [(&str, &str); 6] = [
+    ("time.lp", "lp"),
+    ("time.separation", "separate"),
+    ("time.audit", "audit"),
+    ("time.embed", "embed"),
+    ("time.dp", "dp"),
+    ("time.serve.request", "request"),
+];
 
 /// One node of a span profile: a named scope, how many times it was
 /// entered, the total wall clock spent inside it, and its name-sorted
@@ -142,6 +159,35 @@ impl SpanTree {
             let i = self.root_index(&root.name);
             self.roots[i].merge_from(root);
         }
+    }
+
+    /// Summed `total_ns` of the outermost spans named `name`: a span
+    /// nested inside another of the same name is already part of its
+    /// ancestor's total, so it is not added again. `None` when no span
+    /// has that name.
+    pub(crate) fn outermost_total_ns(&self, name: &str) -> Option<u64> {
+        fn walk(node: &SpanNode, name: &str, sum: &mut Option<u64>) {
+            if node.name == name {
+                *sum = Some(sum.unwrap_or(0).saturating_add(node.total_ns));
+            } else {
+                for c in &node.children {
+                    walk(c, name, sum);
+                }
+            }
+        }
+        let mut sum = None;
+        for r in &self.roots {
+            walk(r, name, &mut sum);
+        }
+        sum
+    }
+
+    /// The [`PHASE_SPANS`] totals of this tree, keyed `time.*`.
+    pub(crate) fn phase_timings(&self) -> BTreeMap<String, u64> {
+        PHASE_SPANS
+            .iter()
+            .filter_map(|&(key, span)| Some((key.to_string(), self.outermost_total_ns(span)?)))
+            .collect()
     }
 
     /// Depth-first `(path, hits, total_ns)` rows, parents before
@@ -449,6 +495,29 @@ mod tests {
         assert!(lint_folded(" 5\n").is_err());
         lint_folded("a;b 5\nc 1\n\n").unwrap();
         lint_folded("").unwrap();
+    }
+
+    #[test]
+    fn phase_timings_sum_outermost_spans_of_each_name() {
+        let mut t = SpanTree::new();
+        t.record("solve/lp", 1, 100);
+        t.record("solve/round.0001/lp", 2, 30);
+        // A namesake nested inside `lp` is already inside its total.
+        t.record("solve/round.0001/lp/lp", 1, 7);
+        t.record("request/solve/separate", 3, 40);
+        let timings = t.phase_timings();
+        assert_eq!(timings["time.lp"], 130);
+        assert_eq!(timings["time.separation"], 40);
+        // No `audit` span ran, so there is no `time.audit` key.
+        assert!(!timings.contains_key("time.audit"));
+
+        // Every table entry maps its span, and only its span, to its key.
+        for (i, &(key, span)) in PHASE_SPANS.iter().enumerate() {
+            let mut t = SpanTree::new();
+            t.record(&format!("solve/{span}"), 1, 10 + i as u64);
+            let expected = BTreeMap::from([(key.to_string(), 10 + i as u64)]);
+            assert_eq!(t.phase_timings(), expected, "{span}");
+        }
     }
 
     #[test]

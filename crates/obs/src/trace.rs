@@ -26,11 +26,12 @@ pub struct TraceEvent {
 pub struct SolveTrace {
     /// Monotonic counters (`"simplex.pivots"` → total pivots).
     pub counters: BTreeMap<String, u64>,
-    /// Running maxima (`"pool.queue_high_water"`).
+    /// Running maxima (`"ebf.peak_violations"`).
     pub maxima: BTreeMap<String, u64>,
     /// Last-write-wins gauges (`"simplex.limit_fraction"`).
     pub gauges: BTreeMap<String, f64>,
-    /// Per-phase wall-clock nanoseconds — determinism-exempt.
+    /// Per-phase wall-clock nanoseconds (`"time.lp"`), each the summed
+    /// total of the outermost spans of one name — determinism-exempt.
     pub timings_ns: BTreeMap<String, u64>,
     /// Bounded event log, in emission order.
     pub events: Vec<TraceEvent>,
@@ -171,7 +172,7 @@ impl SolveTrace {
 
     /// Renders the trace in the Prometheus text exposition format:
     /// counters as `<name>_total`, maxima as `<name>_max` gauges, gauges
-    /// verbatim, phase timers as `<name>_seconds_total`, plus the event
+    /// verbatim, phase totals as `<name>_seconds_total`, plus the event
     /// drop counter. Naming rules live in [`crate::prometheus`].
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -259,7 +260,7 @@ mod tests {
         rec.record_max("pool.queue_high_water", 9);
         rec.gauge("simplex.limit_fraction", 0.0006);
         rec.gauge("ebf.residual_violation", f64::NAN);
-        rec.add_time("time.lp", 1_234_567);
+        rec.span_record("lp", 1, 1_234_567);
         rec.event("ebf.round", "round 1: 17 cuts, residual 3.5e-2");
         rec.snapshot()
     }

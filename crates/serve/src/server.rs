@@ -18,7 +18,7 @@ use lubt_core::{
 use lubt_data::Instance;
 use lubt_obs::fsio::LineLog;
 use lubt_obs::json::{json_escape, parse_limited};
-use lubt_obs::{AggregateTrace, PhaseTimer, Recorder, SpanGuard, SpanTree, TraceRecorder};
+use lubt_obs::{AggregateTrace, Recorder, SpanGuard, SpanTree, TraceRecorder};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -449,13 +449,12 @@ fn worker_loop(shared: &Arc<Shared>) {
         let mut cold_solves = 0u64;
         let mut cache_outcome = "none";
         let queue_wait_ns = saturating_ns(job.admitted.elapsed().as_nanos());
-        let solve_start = Instant::now();
         shared.busy.fetch_add(1, Ordering::Relaxed);
         let response = {
-            let _timer = PhaseTimer::new(&*rec, "time.serve.request");
-            // The request span roots this request's profile; the solve's
-            // own spans ("solve", "embed") nest under it because the
-            // pipeline runs on this thread with this recorder.
+            // The request span roots this request's profile and times it
+            // (`time.serve.request`); the solve's own spans ("solve",
+            // "embed") nest under it because the pipeline runs on this
+            // thread with this recorder.
             let _request_span = SpanGuard::enter(&*rec, "request");
             rec.span_record("parse", 1, job.parse_ns);
             rec.span_record("queue_wait", 1, queue_wait_ns);
@@ -479,7 +478,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         shared.busy.fetch_sub(1, Ordering::Relaxed);
-        let solve_ns = saturating_ns(solve_start.elapsed().as_nanos());
         let snapshot = rec.snapshot();
         let mut agg = AggregateTrace::new();
         agg.fold(&snapshot);
@@ -498,7 +496,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 &response,
                 cache_outcome,
                 queue_wait_ns,
-                solve_ns,
+                snapshot.timing_ns("time.serve.request"),
             ));
         }
         let _ = job.reply.send(response);
