@@ -86,7 +86,7 @@ pub struct SuiteConfig {
     pub profile: bool,
     /// When `true`, runs the `par_intra` group: the pinned 512-sink
     /// uniform instance solved on the revised backend at 1/2/4/8
-    /// intra-solve workers (assisted pricing + separation, DESIGN.md
+    /// separation-oracle workers (the LP solves stay serial, DESIGN.md
     /// §9), producing the single-instance scaling curve under
     /// `time.suite.par_intra.threads<n>`. The group refuses to report
     /// unless the edge lengths, report, and span *shape* are

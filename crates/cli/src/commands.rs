@@ -286,9 +286,10 @@ fn cmd_solve(parsed: &Parsed) -> Result<(), String> {
     if let Some(limit) = lp_budget(parsed)? {
         builder = builder.max_lp_iterations(limit);
     }
-    // Intra-solve worker count: 0 = one worker per core, 1 (the default) =
-    // the exact sequential path. Output bytes are identical for every
-    // value (DESIGN.md §9), so no determinism caveat applies here.
+    // Separation-oracle worker count: 0 = one worker per core, 1 (the
+    // default) = the exact sequential path; the LP solves stay serial.
+    // Output bytes are identical for every value (DESIGN.md §9), so no
+    // determinism caveat applies here.
     reject_bare(parsed, &["threads"])?;
     if let Some(threads) = parsed.get_usize("threads")? {
         builder = builder.threads(threads);

@@ -1374,7 +1374,7 @@ fn solve_threads_flag_is_byte_identical_and_validated() {
     assert!(out.status.success());
 
     // Byte-identical stdout across thread counts, including 0 (= all
-    // cores) on the assisted revised backend.
+    // cores), on the revised backend with an assisted separation oracle.
     let run = |threads: &str| {
         let out = lubt()
             .args(["solve"])

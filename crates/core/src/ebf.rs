@@ -241,24 +241,23 @@ impl EbfSolver {
         self
     }
 
-    /// Sets the worker count for **all** intra-solve parallelism (`0` =
-    /// all available cores, default `1` = the exact sequential path):
-    /// the separation oracle's pair triangle *and*, on the revised
-    /// backend, the assisted pricing / dual-candidate scans inside each
-    /// LP (re-)solve.
+    /// Sets the worker count of the separation oracle (`0` = all
+    /// available cores, default `1` = the exact sequential path): each
+    /// round's scan of the sink-pair triangle runs as one assisted claim
+    /// loop. Every LP (re-)solve runs serially on the calling thread
+    /// whatever this value is.
     ///
     /// Thanks to the canonical cut-merge order of
-    /// [`crate::steiner::violated_pairs_with_threads`] and the
-    /// deterministic lowest-index-wins reduction of the assisted scans
-    /// (DESIGN.md §9), the solve is bit-for-bit identical for every
-    /// value — this knob only changes wall-clock.
+    /// [`crate::steiner::violated_pairs_with_threads`] (DESIGN.md §9), the
+    /// solve is bit-for-bit identical for every value — this knob only
+    /// changes wall-clock.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// The configured oracle worker count (`0` = all cores).
+    /// The configured separation-oracle worker count (`0` = all cores).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -302,9 +301,7 @@ impl EbfSolver {
     /// The revised-simplex backend configured with this solver's recorder
     /// and iteration cap.
     fn revised(&self) -> RevisedSolver {
-        let mut s = RevisedSolver::new()
-            .with_recorder(Arc::clone(&self.recorder))
-            .with_threads(self.threads);
+        let mut s = RevisedSolver::new().with_recorder(Arc::clone(&self.recorder));
         if let Some(limit) = self.max_lp_iterations {
             s = s.with_max_iterations(limit);
         }
@@ -1218,6 +1215,38 @@ mod tests {
             assert_eq!(lengths, base_lengths, "threads={threads}");
             assert_eq!(report, base_report, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn revised_solve_runs_one_claim_loop_per_separation_round() {
+        // 48 sinks give the LP well over a hundred columns, so every pivot
+        // prices a wide window; the LP still runs serially, and the only
+        // claim loop a lazy solve enters is the separation scan, once per
+        // round.
+        let inst = lubt_data::synthetic::uniform("lazy48", 48, 1000.0, 11);
+        let r = inst.radius();
+        let p = LubtBuilder::new(inst.sinks)
+            .bounds(DelayBounds::uniform(48, 0.9 * r, 1.4 * r))
+            .build()
+            .unwrap();
+        let solver = |threads| {
+            EbfSolver::new()
+                .with_backend(SolverBackend::Revised)
+                .with_threads(threads)
+        };
+        let (serial, _) = solver(1).solve_traced(&p);
+        let (wide, trace) = solver(4).solve_traced(&p);
+        let (base_lengths, base_report) = serial.unwrap();
+        let (lengths, report) = wide.unwrap();
+        assert_eq!(lengths, base_lengths);
+        assert_eq!(report, base_report);
+        assert!(report.separation_rounds > 1, "{report:?}");
+        assert!(trace.counter("lp.pivots") > report.separation_rounds as u64);
+        assert_eq!(
+            trace.counter("par.assist.loops"),
+            trace.counter("ebf.rounds"),
+            "{trace:?}"
+        );
     }
 
     #[test]

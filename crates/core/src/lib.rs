@@ -79,10 +79,7 @@ pub use error::LubtError;
 pub use json::solution_to_json;
 pub use problem::{LubtBuilder, LubtProblem, TopologyStrategy, WarmLubtSession};
 pub use solution::LubtSolution;
-pub use steiner::{
-    all_pair_constraints, violated_pairs, violated_pairs_traced, violated_pairs_with_threads,
-    SinkPair,
-};
+pub use steiner::{all_pair_constraints, violated_pairs, violated_pairs_with_threads, SinkPair};
 pub use svg::{render_svg, render_svg_with, render_tree_svg, SvgOptions};
 pub use topology_gen::bound_aware_topology;
 pub use verify::{verify_raw, VerifyError};

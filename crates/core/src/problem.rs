@@ -397,10 +397,9 @@ impl LubtBuilder {
         self
     }
 
-    /// Sets the intra-solve worker count (`0` = all available cores,
-    /// default `1`): the separation oracle and, on the revised backend,
-    /// the assisted pricing scans. The solution is identical for every
-    /// value — see [`EbfSolver::with_threads`].
+    /// Sets the separation oracle's worker count (`0` = all available
+    /// cores, default `1`); the LP solves stay serial. The solution is
+    /// identical for every value — see [`EbfSolver::with_threads`].
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;

@@ -87,15 +87,17 @@ pub fn violated_pairs(problem: &LubtProblem, lengths: &[f64], tol: f64) -> Vec<(
     violated_pairs_with_threads(problem, lengths, tol, 1)
 }
 
-/// [`violated_pairs`] with the `O(m^2)` pair triangle partitioned across
-/// `threads` workers (`0` = all cores, `1` = the exact sequential scan).
+/// [`violated_pairs`] with the `O(m^2)` pair triangle claimed by
+/// `threads` participants (`0` = all cores, `1` = the exact sequential
+/// scan): the scan the lazy EBF loop runs, from a cold cache.
 ///
-/// Determinism contract: each worker scans whole rows of the triangle into
-/// a private buffer; buffers merge in ascending row order, reproducing the
-/// serial enumeration exactly, and the final most-violated-first sort is
-/// stable — so the returned cut sequence is **identical for every thread
-/// count**. The lazy EBF loop depends on this: the cuts added each round
-/// fix the simplex pivot sequence, hence the solution bits.
+/// Determinism contract: rows of the triangle are claimed in blocks from
+/// one shared cursor, each block scans whole rows into a private buffer,
+/// and buffers merge in ascending row order, reproducing the serial
+/// enumeration exactly; the final most-violated-first sort is stable — so
+/// the returned cut sequence is **identical for every thread count**. The
+/// lazy EBF loop depends on this: the cuts added each round fix the
+/// simplex pivot sequence, hence the solution bits.
 ///
 /// # Panics
 ///
@@ -106,35 +108,14 @@ pub fn violated_pairs_with_threads(
     tol: f64,
     threads: usize,
 ) -> Vec<(SinkPair, f64)> {
-    violated_pairs_traced(problem, lengths, tol, threads, &lubt_obs::NoopRecorder)
-}
-
-/// [`violated_pairs_with_threads`] with the oracle's `par.assist.*`
-/// scheduling counters (claim-loop entries, blocks claimed, late joins)
-/// sent to `rec`. The returned cut sequence keeps the same
-/// thread-count-independence guarantee; only the counters — which describe
-/// scheduling, not results — vary between runs.
-pub fn violated_pairs_traced(
-    problem: &LubtProblem,
-    lengths: &[f64],
-    tol: f64,
-    threads: usize,
-    rec: &dyn lubt_obs::Recorder,
-) -> Vec<(SinkPair, f64)> {
-    let topo = problem.topology();
-    let delays = node_delays(topo, lengths);
-    let m = topo.num_sinks();
-    let scan_row = |i: usize, out: &mut Vec<(SinkPair, f64)>| {
-        scan_row_into(problem, &delays, tol, i, out);
-    };
-    // Row i holds m - i pairs; a small grain keeps many blocks behind the
-    // shared claim cursor so late-arriving helpers even out the ragged
-    // triangle without a pre-split partition (DESIGN.md §9).
-    let grain = (m / lubt_par::resolve_threads(threads).max(1) / 4).max(1);
-    let mut out =
-        lubt_par::assist_flat_map_traced(threads, m, grain, rec, |row, buf| scan_row(row + 1, buf));
-    out.sort_by(|x, y| y.1.partial_cmp(&x.1).expect("finite violations"));
-    out
+    violated_pairs_cached(
+        problem,
+        lengths,
+        tol,
+        threads,
+        &mut SeparationCache::new(),
+        &lubt_obs::NoopRecorder,
+    )
 }
 
 /// Scans row `i` of the pair triangle (all partners `j > i`) into `out`.
@@ -187,11 +168,14 @@ impl SeparationCache {
     }
 }
 
-/// [`violated_pairs_traced`] with a cross-round [`SeparationCache`]:
-/// rows of the pair triangle whose relevant delays are bitwise unchanged
-/// since the previous call are reused instead of rescanned. Emits
-/// `ebf.sep_rows_scanned` / `ebf.sep_rows_reused` counters (deterministic:
-/// reuse depends only on the delay sequence, never on scheduling).
+/// The lazy EBF loop's separation oracle: [`violated_pairs_with_threads`]
+/// with a cross-round [`SeparationCache`]. Rows of the pair triangle whose
+/// relevant delays are bitwise unchanged since the previous call are
+/// reused instead of rescanned; the stale rows are claimed in one assisted
+/// loop (DESIGN.md §9). Emits `ebf.sep_rows_scanned` /
+/// `ebf.sep_rows_reused` counters (deterministic: reuse depends only on
+/// the delay sequence, never on scheduling) and the loop's `par.assist.*`
+/// scheduling counters, which vary between runs.
 pub fn violated_pairs_cached(
     problem: &LubtProblem,
     lengths: &[f64],
@@ -232,7 +216,10 @@ pub fn violated_pairs_cached(
     rec.incr("ebf.sep_rows_scanned", stale.len() as u64);
     rec.incr("ebf.sep_rows_reused", (m - stale.len()) as u64);
 
-    // Rescan only the stale rows, claimed via the assist loop.
+    // Rescan only the stale rows, claimed via the assist loop. Row i holds
+    // m - i pairs; a small grain keeps many blocks behind the shared claim
+    // cursor so late-arriving helpers even out the ragged triangle without
+    // a pre-split partition (DESIGN.md §9).
     let grain = (stale.len() / lubt_par::resolve_threads(threads).max(1) / 4).max(1);
     let rescanned =
         lubt_par::assist_flat_map_traced(threads, stale.len(), grain, rec, |idx, buf| {

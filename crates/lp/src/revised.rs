@@ -11,7 +11,9 @@
 //! most-negative rule and smallest-index tie-break, falling back to
 //! Bland's rule after a degenerate stall; every choice is a deterministic
 //! function of the pivot history, so solves are bit-identical across
-//! machines and thread counts.
+//! machines. Every scan runs serially on the calling thread: at the
+//! paper's net sizes a pivot prices a few hundred columns, too little
+//! work to split across cores.
 //!
 //! Counters (routed through the solver's [`Recorder`]): `lp.pivots`,
 //! `lp.dual_pivots`, `lp.priced_columns`, `lp.refactorizations`,
@@ -44,10 +46,6 @@ const RATIO_TOL: f64 = 1e-9;
 const COST_TOL: f64 = 1e-9;
 /// Minimum partial-pricing window (columns priced per entering choice).
 const PRICE_WINDOW_MIN: usize = 64;
-/// Minimum column count before the pricing and dual-candidate scans fan
-/// out to assisted claiming; below this the scoped-helper setup dwarfs
-/// the scan itself.
-const PAR_SCAN_MIN: usize = 128;
 
 /// Sparse revised-simplex solver over the same [`Model`]/[`Solution`]
 /// surface as the dense backends.
@@ -69,7 +67,6 @@ const PAR_SCAN_MIN: usize = 128;
 pub struct RevisedSolver {
     max_iterations: usize,
     stall_limit: usize,
-    threads: usize,
     recorder: Arc<dyn Recorder>,
 }
 
@@ -78,7 +75,6 @@ impl Default for RevisedSolver {
         RevisedSolver {
             max_iterations: 200_000,
             stall_limit: 1_000,
-            threads: 1,
             recorder: lubt_obs::noop(),
         }
     }
@@ -109,19 +105,6 @@ impl RevisedSolver {
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Fans the intra-solve hot loops — the cyclic partial-pricing window
-    /// and the dual-ratio candidate scan — out to `threads` participants
-    /// under assisted claiming (`0` = one per core, default `1` = the
-    /// exact sequential path). The solve output is **bit-identical for
-    /// every thread count**: the parallel scans reproduce the serial
-    /// entering choice, cursor advance, and `lp.priced_columns` tally
-    /// exactly.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -194,7 +177,6 @@ impl RevisedSolver {
         let Some(mut kernel) = Kernel::from_basis(sf, basis) else {
             return Ok(None); // singular basis
         };
-        kernel.threads = lubt_par::resolve_threads(self.threads);
         // Verify dual feasibility of the token's basis; noisy tokens fall
         // back to a cold solve, like the dense path.
         let dual_tol = 1e-7 * (1.0 + kernel.sf.c.iter().fold(0.0f64, |a, &c| a.max(c.abs())));
@@ -314,7 +296,6 @@ impl RevisedSolver {
         let n_art = art_rows.len();
         let mut kernel = Kernel::from_parts(sf, basis, art_rows)
             .ok_or_else(|| LpError::NumericalBreakdown("singular seed basis".to_string()))?;
-        kernel.threads = lubt_par::resolve_threads(self.threads);
 
         let mut iters = 0usize;
         let rec = &*self.recorder;
@@ -416,9 +397,6 @@ struct Kernel {
     x_b: Vec<f64>,
     cursor: usize,
     scratch: Vec<f64>,
-    /// Participants for the assisted pricing/candidate scans (resolved;
-    /// `1` = exact sequential path).
-    threads: usize,
 }
 
 impl Kernel {
@@ -442,7 +420,6 @@ impl Kernel {
             x_b: Vec::new(),
             cursor: 0,
             scratch: Vec::new(),
-            threads: 1,
         };
         kernel.rebuild_factor().ok()?;
         Some(kernel)
@@ -581,9 +558,6 @@ impl Kernel {
     /// `d_j = c_j - y·a_j` by sparse dots. Returns `None` at optimality.
     fn price(&mut self, y: &[f64], phase1: bool, bland: bool, rec: &dyn Recorder) -> Option<usize> {
         let n_t = self.n_total();
-        if !bland && self.threads > 1 && n_t >= PAR_SCAN_MIN {
-            return self.price_assisted(y, phase1, rec);
-        }
         let mut priced = 0u64;
         let chosen = if bland {
             let mut found = None;
@@ -634,166 +608,21 @@ impl Kernel {
         chosen
     }
 
-    /// [`Kernel::price`]'s cyclic window scanned by assisted claiming
-    /// (DESIGN.md §9), reproducing the serial scan *exactly* — the same
-    /// entering column, the same cursor advance, the same
-    /// `lp.priced_columns` tally — for every thread count.
-    ///
-    /// Phase A prices exactly the first `min(window, n_t)` cyclic steps:
-    /// precisely the columns the serial loop prices whenever the window
-    /// holds any candidate (it breaks at `step + 1 >= window` once `best`
-    /// is set, and cannot break earlier). Per-block argmins merge
-    /// most-negative-first with a lowest-index tie-break, which is
-    /// order-independent, so block boundaries cannot matter. If the
-    /// window came up empty, the serial loop degenerates to "first
-    /// candidate after the window wins": phase B scans the remaining
-    /// steps in blocks, each block stopping at its own first candidate,
-    /// and the ascending-block fold keeps the earliest block's hit — the
-    /// serial choice — while summing the pricing tallies of every block
-    /// up to and including it (later blocks ran speculatively; their
-    /// tallies are discarded exactly as the serial loop never scans
-    /// them).
-    fn price_assisted(&mut self, y: &[f64], phase1: bool, rec: &dyn Recorder) -> Option<usize> {
-        let n_t = self.n_total();
-        let window = (n_t / 8).max(PRICE_WINDOW_MIN);
-        let start = self.cursor % n_t;
-        let head_len = window.min(n_t);
-        let threads = self.threads;
-        let this: &Kernel = self;
-        let wrap = |step: usize| {
-            let j = start + step;
-            if j >= n_t {
-                j - n_t
-            } else {
-                j
-            }
-        };
-        let grain = (head_len / (threads * 4)).max(32);
-        let (best, mut priced) = lubt_par::assist_reduce_traced(
-            threads,
-            head_len,
-            grain,
-            rec,
-            |range| {
-                let mut best: Option<(usize, f64)> = None;
-                let mut priced = 0u64;
-                for step in range {
-                    let j = wrap(step);
-                    if this.enterable(j) {
-                        priced += 1;
-                        let d = this.cost(j, phase1) - this.dot_col(j, y);
-                        if d < -COST_TOL {
-                            let better = match best {
-                                None => true,
-                                Some((bj, bd)) => d < bd || (d == bd && j < bj),
-                            };
-                            if better {
-                                best = Some((j, d));
-                            }
-                        }
-                    }
-                }
-                (best, priced)
-            },
-            |(a, ap), (b, bp)| {
-                let merged = match (a, b) {
-                    (Some((aj, ad)), Some((bj, bd))) => {
-                        if bd < ad || (bd == ad && bj < aj) {
-                            Some((bj, bd))
-                        } else {
-                            Some((aj, ad))
-                        }
-                    }
-                    (a, None) => a,
-                    (None, b) => b,
-                };
-                (merged, ap + bp)
-            },
-        )
-        .unwrap_or((None, 0));
-        let mut chosen = best.map(|(j, _)| j);
-        let mut steps_scanned = head_len;
-        if chosen.is_none() && head_len < n_t {
-            let tail_len = n_t - head_len;
-            let grain = (tail_len / (threads * 4)).max(64);
-            let (hit, tail_priced) = lubt_par::assist_reduce_traced(
-                threads,
-                tail_len,
-                grain,
-                rec,
-                |range| {
-                    let mut priced = 0u64;
-                    let mut hit: Option<(usize, usize)> = None; // (step, column)
-                    for off in range {
-                        let step = head_len + off;
-                        let j = wrap(step);
-                        if this.enterable(j) {
-                            priced += 1;
-                            if this.cost(j, phase1) - this.dot_col(j, y) < -COST_TOL {
-                                hit = Some((step, j));
-                                break;
-                            }
-                        }
-                    }
-                    (hit, priced)
-                },
-                |acc, next| {
-                    if acc.0.is_some() {
-                        acc
-                    } else {
-                        (next.0, acc.1 + next.1)
-                    }
-                },
-            )
-            .expect("tail has at least one block");
-            priced += tail_priced;
-            match hit {
-                Some((step, j)) => {
-                    chosen = Some(j);
-                    steps_scanned = step + 1;
-                }
-                None => steps_scanned = n_t,
-            }
-        }
-        self.cursor = wrap(steps_scanned);
-        if rec.enabled() {
-            rec.incr("lp.priced_columns", priced);
-        }
-        chosen
-    }
-
     /// Candidate build for the dual ratio test: `(column, row entry,
-    /// dual ratio)` per eligible column, in ascending column order. Fans
-    /// out to assisted claiming when the column range is wide enough;
-    /// ascending-block concatenation makes the parallel vector
-    /// bit-identical to the serial one.
-    fn dual_candidates(
-        &self,
-        rho: &[f64],
-        y: &[f64],
-        rec: &dyn Recorder,
-    ) -> Vec<(usize, f64, f64)> {
-        let n_t = self.n_total();
-        let fill = |j: usize, out: &mut Vec<(usize, f64, f64)>| {
+    /// dual ratio)` per eligible column, in ascending column order.
+    fn dual_candidates(&self, rho: &[f64], y: &[f64]) -> Vec<(usize, f64, f64)> {
+        let mut cands = Vec::new();
+        for j in 0..self.n_total() {
             if !self.enterable(j) {
-                return;
+                continue;
             }
             let a = self.dot_col(j, rho);
             if a < -PIVOT_TOL {
                 let d = self.cost(j, false) - self.dot_col(j, y);
-                out.push((j, a, d / (-a)));
+                cands.push((j, a, d / (-a)));
             }
-        };
-        if self.threads > 1 && n_t >= PAR_SCAN_MIN {
-            let grain = (n_t / (self.threads * 4)).max(64);
-            lubt_par::assist_flat_map_traced(self.threads, n_t, grain, rec, fill)
-        } else {
-            let mut cands = Vec::new();
-            for j in 0..n_t {
-                fill(j, &mut cands);
-            }
-            cands
         }
+        cands
     }
 
     /// Leaving position by a two-pass minimum-ratio test: the first pass
@@ -968,7 +797,7 @@ impl Kernel {
                     self.factor.btran(&mut rho, &mut scratch);
                     self.scratch = scratch;
                     let y = self.duals(false);
-                    self.dual_candidates(&rho, &y, rec)
+                    self.dual_candidates(&rho, &y)
                 });
                 let tr = profiling.then(std::time::Instant::now);
                 let enter = if bland {
@@ -1163,7 +992,6 @@ pub struct RevisedSession {
     solution: Solution,
     max_iterations: usize,
     stall_limit: usize,
-    threads: usize,
     recorder: Arc<dyn Recorder>,
     infeasible: bool,
     /// Seed of the certificate for the most recent (re)solve outcome.
@@ -1196,7 +1024,6 @@ impl RevisedSession {
             solution,
             max_iterations: solver.max_iterations(),
             stall_limit: solver.stall_limit,
-            threads: solver.threads,
             recorder: Arc::clone(solver.recorder()),
             infeasible,
             cert_seed,
@@ -1302,7 +1129,6 @@ impl RevisedSession {
             let solver = RevisedSolver::new()
                 .with_max_iterations(self.max_iterations)
                 .with_stall_limit(self.stall_limit)
-                .with_threads(self.threads)
                 .with_recorder(Arc::clone(&self.recorder));
             let (solution, kernel, cert_seed) = solver.solve_keeping_kernel(&self.model)?;
             self.infeasible = solution.status() != Status::Optimal;
@@ -1719,207 +1545,5 @@ mod tests {
         let before = s.solution().objective();
         let after = s.resolve().unwrap().objective();
         assert_eq!(before, after);
-    }
-
-    /// A deterministic covering LP wide enough (`n_total >= PAR_SCAN_MIN`)
-    /// that the assisted pricing and candidate scans actually engage.
-    fn wide_covering_model(vars: usize, rows: usize) -> Model {
-        let mut m = Model::new();
-        let vs: Vec<Var> = (0..vars)
-            .map(|i| m.add_var(0.0, 1.0 + ((i * 29 + 7) % 13) as f64 / 5.0))
-            .collect();
-        for r in 0..rows {
-            let e: LinExpr = vs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| (i + r) % 3 != 0)
-                .map(|(i, &v)| (v, 1.0 + ((i * 17 + r * 31) % 7) as f64 / 3.0))
-                .collect();
-            m.add_constraint(e, Cmp::Ge, 2.0 + (r % 11) as f64 / 2.0);
-        }
-        m
-    }
-
-    #[test]
-    fn with_threads_solves_are_bit_identical() {
-        let m = wide_covering_model(80, 60);
-        let reference = RevisedSolver::new().solve(&m).unwrap();
-        assert!(reference.is_optimal());
-        let bits: Vec<u64> = reference.values().iter().map(|v| v.to_bits()).collect();
-        for threads in [2, 4, 8, 0] {
-            let sol = RevisedSolver::new()
-                .with_threads(threads)
-                .solve(&m)
-                .unwrap();
-            assert_eq!(sol.status(), reference.status(), "threads={threads}");
-            assert_eq!(
-                sol.objective().to_bits(),
-                reference.objective().to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                sol.iterations(),
-                reference.iterations(),
-                "threads={threads}"
-            );
-            let tb: Vec<u64> = sol.values().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(tb, bits, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn threaded_sessions_resolve_bit_identically() {
-        // The appended-rows dual repair exercises `dual_candidates`.
-        let grow = |threads: usize| -> Vec<u64> {
-            let m = wide_covering_model(70, 50);
-            let vars: Vec<Var> = m.vars().collect();
-            let solver = RevisedSolver::new().with_threads(threads);
-            let mut s = RevisedSession::start_with(m, solver).unwrap();
-            assert!(s.solution().is_optimal());
-            for r in 0..6 {
-                let e: LinExpr = vars
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| (i + r) % 4 != 1)
-                    .map(|(i, &v)| (v, 1.0 + ((i * 13 + r * 5) % 5) as f64 / 2.0))
-                    .collect();
-                s.add_constraint(e, Cmp::Ge, 9.0 + r as f64).unwrap();
-                let sol = s.resolve().unwrap();
-                assert!(sol.is_optimal(), "round {r}");
-            }
-            s.solution().values().iter().map(|v| v.to_bits()).collect()
-        };
-        let reference = grow(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(grow(threads), reference, "threads={threads}");
-        }
-    }
-
-    /// Property-based lockstep check: the assisted pricing scan must pick
-    /// the identical entering column as the serial scan on every pivot,
-    /// across random models, windows, and thread counts — with a
-    /// first-diverging-pivot reporter in the style of
-    /// `crates/lp/tests/differential.rs`.
-    mod assisted_pricing {
-        use super::*;
-        use crate::sparse::SparseForm;
-        use lubt_obs::TraceRecorder;
-        use proptest::prelude::*;
-        use proptest::test_runner::TestCaseError;
-
-        /// The solve-path basis seeding (usable slacks, artificials
-        /// elsewhere), with an explicit participant count.
-        fn seeded_kernel(m: &Model, threads: usize) -> Kernel {
-            let sf = SparseForm::build(m);
-            let rows = sf.m;
-            let mut basis = Vec::with_capacity(rows);
-            let mut art_rows = Vec::new();
-            for i in 0..rows {
-                let sc = sf.slack_col[i];
-                let usable = sc != usize::MAX && (sf.at(i, sc) - 1.0).abs() < 1e-12;
-                if usable {
-                    basis.push(sc);
-                } else {
-                    basis.push(sf.n + art_rows.len());
-                    art_rows.push(i);
-                }
-            }
-            let mut kernel = Kernel::from_parts(sf, basis, art_rows).expect("seed basis");
-            kernel.threads = threads;
-            kernel
-        }
-
-        /// Drives a serial and an assisted kernel through the same pivot
-        /// sequence, comparing the entering column and pricing cursor at
-        /// every step and the `lp.priced_columns` tally at the end.
-        fn assert_lockstep(m: &Model, threads: usize) -> Result<(), TestCaseError> {
-            let mut serial = seeded_kernel(m, 1);
-            let mut assisted = seeded_kernel(m, threads);
-            let rec_s = TraceRecorder::new();
-            let rec_a = TraceRecorder::new();
-            let phase1 = !serial.art_rows.is_empty();
-            for pivot_idx in 0..400 {
-                let ys = serial.duals(phase1);
-                let ya = assisted.duals(phase1);
-                let cs = serial.price(&ys, phase1, false, &rec_s);
-                let ca = assisted.price(&ya, phase1, false, &rec_a);
-                if cs != ca {
-                    return Err(TestCaseError::Fail(format!(
-                        "first diverging pivot {pivot_idx} (threads {threads}): \
-                             serial entered {cs:?}, assisted entered {ca:?}"
-                    )));
-                }
-                if serial.cursor != assisted.cursor {
-                    return Err(TestCaseError::Fail(format!(
-                        "cursors diverged at pivot {pivot_idx} (threads {threads}): \
-                             serial {}, assisted {}",
-                        serial.cursor, assisted.cursor
-                    )));
-                }
-                let Some(enter) = cs else { break };
-                let step = |k: &mut Kernel| -> Option<usize> {
-                    let mut w = k.dense_col(enter);
-                    let mut scratch = std::mem::take(&mut k.scratch);
-                    k.factor.ftran(&mut w, &mut scratch);
-                    k.scratch = scratch;
-                    let pos = k.choose_leaving(&w)?;
-                    k.pivot(pos, enter, &w, &lubt_obs::NoopRecorder)
-                        .expect("pivot");
-                    Some(pos)
-                };
-                let ps = step(&mut serial);
-                let pa = step(&mut assisted);
-                if ps != pa {
-                    return Err(TestCaseError::Fail(format!(
-                        "leaving rows diverged at pivot {pivot_idx} (threads \
-                             {threads}): serial {ps:?}, assisted {pa:?}"
-                    )));
-                }
-                if ps.is_none() {
-                    break; // unbounded direction: both agree, done
-                }
-            }
-            let priced_s = rec_s.snapshot().counter("lp.priced_columns");
-            let priced_a = rec_a.snapshot().counter("lp.priced_columns");
-            if priced_s != priced_a {
-                return Err(TestCaseError::Fail(format!(
-                    "priced-column tallies diverged (threads {threads}): \
-                         serial {priced_s}, assisted {priced_a}"
-                )));
-            }
-            Ok(())
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(16))]
-            #[test]
-            fn assisted_pricing_matches_serial_entering_columns(
-                costs in proptest::collection::vec(0i8..5, 40..90),
-                rows in proptest::collection::vec(
-                    proptest::collection::vec(-2i8..4, 90), 30..70),
-                les in proptest::collection::vec(proptest::bool::ANY, 70),
-                rhs in proptest::collection::vec(0i32..40, 70),
-                threads in 2usize..9,
-            ) {
-                let mut m = Model::new();
-                let vars: Vec<Var> = costs
-                    .iter()
-                    .map(|&c| m.add_var(0.0, f64::from(c)))
-                    .collect();
-                for ((coefs, &le), &r) in rows.iter().zip(&les).zip(&rhs) {
-                    let e: LinExpr = vars
-                        .iter()
-                        .zip(coefs)
-                        .filter(|(_, &c)| c != 0)
-                        .map(|(&v, &c)| (v, f64::from(c)))
-                        .collect();
-                    if e.terms().is_empty() {
-                        continue;
-                    }
-                    m.add_constraint(e, if le { Cmp::Le } else { Cmp::Ge }, f64::from(r) / 4.0);
-                }
-                assert_lockstep(&m, threads)?;
-            }
-        }
     }
 }

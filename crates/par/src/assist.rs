@@ -8,9 +8,11 @@
 //! repeat until the cursor passes the end. A helper that shows up late
 //! simply starts claiming from wherever the cursor currently is; there is
 //! nothing to rebalance and nothing to steal. That serves both shapes of
-//! work in the workspace: short, repeated, irregular loops inside one
-//! solve (partial pricing rounds, the separation triangle), and batch
-//! loops whose blocks are whole instances of very different sizes.
+//! work in the workspace: the ragged separation triangle, scanned once
+//! per round of a lazy solve, and batch loops whose blocks are whole
+//! instances of very different sizes. Each call spawns its helpers, so
+//! callers enter a loop only where that cost is spread over a whole
+//! round or batch, never once per simplex pivot.
 //!
 //! Determinism contract: each block's output is tagged with its block id,
 //! and after the scoped join the blocks are reduced **in ascending block

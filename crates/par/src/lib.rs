@@ -11,8 +11,8 @@
 //! `threads <= 1` path) as long as the per-block work is pure and the fold
 //! is associative over adjacent index ranges (DESIGN.md §9).
 //!
-//! Its consumers are batch solving (one instance per block), the revised
-//! simplex pricing window and dual scan, and the separation triangle. That
+//! Its consumers are batch solving (one loop per call, one instance per
+//! block) and the separation triangle (one loop per round). That
 //! merge-order guarantee is the contract the EBF separation oracle relies
 //! on: the violated-cut set a lazy solve adds each round — and therefore
 //! the simplex pivot sequence — must not depend on scheduling.

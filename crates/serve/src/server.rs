@@ -57,9 +57,8 @@ struct Shared {
     /// `wait` returns so a process exit cannot cut a response short.
     inflight: AtomicUsize,
     /// Workers currently executing a request. Idle workers' cores are
-    /// donated to the active solve's assisted intra-solve loops
-    /// (DESIGN.md §9) — donation never changes response bytes, only
-    /// wall-clock.
+    /// donated to the active solve's separation oracle (DESIGN.md §9) —
+    /// donation never changes response bytes, only wall-clock.
     busy: AtomicUsize,
 }
 
@@ -549,7 +548,7 @@ fn access_line(
 }
 
 /// Builds the solve pipeline for one instance of `req` with `threads`
-/// intra-solve workers. Bounds come through the checked constructor:
+/// separation-oracle workers. Bounds come through the checked constructor:
 /// wire input must never be able to panic a worker.
 fn builder_for(req: &Request, inst: &Instance, threads: usize) -> Result<LubtBuilder, LubtError> {
     let (lo, up) = req.window_for(inst);
@@ -565,16 +564,17 @@ fn builder_for(req: &Request, inst: &Instance, threads: usize) -> Result<LubtBui
 }
 
 /// How many cores the *other* (currently idle) workers can lend this
-/// worker's solve. `busy` includes the caller, so a lone active worker
-/// on a `W`-worker daemon gets `W - 1` donated threads.
+/// worker's separation oracle. `busy` includes the caller, so a lone
+/// active worker on a `W`-worker daemon gets `W - 1` donated threads.
 fn donated_threads(shared: &Shared) -> usize {
     let workers = shared.config.effective_workers();
     let busy = shared.busy.load(Ordering::Relaxed).clamp(1, workers);
     workers - busy
 }
 
-/// Resolves the intra-solve width for one request and records the
-/// donation under the scheduling-exempt `pool.` prefix.
+/// Resolves the separation-oracle width for one request (its LP solves
+/// stay serial) and records the donation under the scheduling-exempt
+/// `pool.` prefix.
 fn assist_width(shared: &Shared, rec: &TraceRecorder) -> usize {
     let donated = donated_threads(shared);
     if donated > 0 {
