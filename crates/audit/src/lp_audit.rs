@@ -318,7 +318,8 @@ pub fn audit_optimality(
 }
 
 /// Audits primal feasibility and the objective only — the certificate-free
-/// subset used for interior-point solutions, which carry no exact basis.
+/// subset used for solutions that carry no basis, such as the rounded
+/// optimum of the exact DP oracle.
 pub fn audit_primal(model: &Model, values: &[f64], objective: f64) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let n = model.num_vars();
@@ -681,9 +682,9 @@ mod tests {
     }
 
     #[test]
-    fn interior_point_solutions_audit_primal_only() {
+    fn primal_audit_accepts_a_feasible_optimum_and_rejects_a_violation() {
         let m = model_2var();
-        let s = lubt_lp::InteriorPointSolver::new().solve(&m).unwrap();
+        let s = SimplexSolver::new().solve(&m).unwrap();
         let findings = audit_primal(&m, s.values(), s.objective());
         assert!(findings.is_empty(), "{findings:?}");
         let findings = audit_primal(&m, &[0.0, 0.0], 0.0);

@@ -1,6 +1,7 @@
-//! Simplex vs. interior point on EBF LPs of growing size — revisiting the
-//! paper's remark that interior-point methods (LOQO) win on large
-//! instances.
+//! Dense vs. revised simplex on EBF LPs of growing size. The paper's
+//! remark that interior-point methods (LOQO) win on large instances was
+//! measured with a former interior-point backend and not reproduced (see
+//! EXPERIMENTS.md §8).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lubt_core::{DelayBounds, EbfSolver, LubtProblem, SolverBackend};
@@ -25,21 +26,14 @@ fn bench_backends(c: &mut Criterion) {
     g.sample_size(10);
     for m in [8usize, 16, 32] {
         let problem = ebf_problem(m);
-        g.bench_with_input(BenchmarkId::new("simplex", m), &problem, |b, p| {
-            b.iter(|| {
-                EbfSolver::new()
-                    .with_backend(SolverBackend::Simplex)
-                    .solve(p)
-                    .expect("feasible")
-            })
-        });
-        // The dense-Cholesky interior point takes seconds per solve beyond
-        // 16 sinks; keep the bench suite's wall clock sane.
-        if m <= 16 {
-            g.bench_with_input(BenchmarkId::new("interior_point", m), &problem, |b, p| {
+        for (name, backend) in [
+            ("simplex", SolverBackend::Simplex),
+            ("revised", SolverBackend::Revised),
+        ] {
+            g.bench_with_input(BenchmarkId::new(name, m), &problem, |b, p| {
                 b.iter(|| {
                     EbfSolver::new()
-                        .with_backend(SolverBackend::InteriorPoint)
+                        .with_backend(backend)
                         .solve(p)
                         .expect("feasible")
                 })

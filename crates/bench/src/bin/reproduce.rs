@@ -113,8 +113,6 @@ fn run_table3(scale: Option<usize>) {
 
 fn run_timing() {
     println!("== Solver CPU scaling (the §8 LOQO-vs-simplex remark)\n");
-    // The interior-point column stops at 32 sinks (dense Cholesky is
-    // minutes beyond that); the incremental simplex scales much further.
     let inst = instances::by_name("prim2", None).expect("known benchmark");
     match timing::run(&inst, &[8, 16, 32, 64, 128, 256]) {
         Ok(rows) => println!("{}", timing::to_text(&rows)),

@@ -472,7 +472,6 @@ mod tests {
             label: "base".to_string(),
             threads: 1,
             sizes: vec![5],
-            interior_cap: 4,
             full: false,
             audit: false,
             serve: false,

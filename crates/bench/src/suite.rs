@@ -1,6 +1,7 @@
 //! The pinned `lubt bench` suite: a fixed, seeded set of instances solved
-//! under both LP backends, folded into an [`AggregateTrace`], and written
-//! as a schema-versioned benchmark document.
+//! under the simplex, revised and dp backends, folded into
+//! [`AggregateTrace`]s, and written as a schema-versioned benchmark
+//! document.
 //!
 //! The suite is the unit of the performance trajectory: every run solves
 //! the *same* instances (fixed generators, fixed seeds, fixed delay
@@ -43,7 +44,7 @@ const UPPER_FRAC: f64 = 1.4;
 /// advantage over the dense tableau is actually measurable.
 pub const FULL_SIZES: [usize; 2] = [256, 512];
 
-/// Suite configuration (sizes, thread count, backend cap).
+/// Suite configuration (sizes, thread count, optional groups).
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
     /// Label recorded in the document (e.g. `seed`, `ci`, `local`).
@@ -54,8 +55,6 @@ pub struct SuiteConfig {
     /// Sink counts; each size yields one uniform and one clustered
     /// instance.
     pub sizes: Vec<usize>,
-    /// Largest sink count the dense interior-point backend runs at.
-    pub interior_cap: usize,
     /// When `true`, also solves the [`FULL_SIZES`] instances (dense and
     /// revised simplex) so kernel speedups are measurable; off by default
     /// to keep the CI bench gate fast.
@@ -101,7 +100,6 @@ impl Default for SuiteConfig {
             label: "local".to_string(),
             threads: 0,
             sizes: vec![6, 10, 16],
-            interior_cap: 12,
             full: false,
             audit: false,
             serve: false,
@@ -117,13 +115,13 @@ impl Default for SuiteConfig {
 pub struct InstanceRow {
     /// Pinned instance name (e.g. `u10`, `c16`).
     pub name: String,
-    /// Solver backend (`simplex` | `interior` | `revised` | `dp`).
+    /// Solver backend (`simplex` | `revised` | `dp`).
     pub backend: &'static str,
     /// Sink count.
     pub sinks: usize,
     /// Optimal tree cost (sum of edge lengths).
     pub cost: f64,
-    /// LP pivots / interior-point steps across all re-solves.
+    /// LP pivots across all re-solves.
     pub lp_iterations: usize,
     /// Lazy separation rounds.
     pub separation_rounds: usize,
@@ -142,14 +140,12 @@ pub struct BenchRun {
     pub label: String,
     /// Sink counts solved.
     pub sizes: Vec<usize>,
-    /// Interior-point size cap used.
-    pub interior_cap: usize,
     /// Per-(instance, backend) rows, in pinned order.
     pub rows: Vec<InstanceRow>,
-    /// Fold of the **core** solves — the seed-era scope (dense simplex and
-    /// capped interior point at the base sizes), kept separate so its
-    /// deterministic half stays exactly comparable against baselines
-    /// recorded before the revised backend and `--full` sizes existed.
+    /// Fold of the **core** solves — the seed-era scope (dense simplex at
+    /// the base sizes), kept separate so its deterministic half stays
+    /// exactly comparable against baselines recorded before the revised
+    /// backend and `--full` sizes existed.
     pub aggregate: AggregateTrace,
     /// Fold of the **extended** solves (revised backend, `--full`
     /// instances); compared exactly only between documents that both
@@ -203,9 +199,8 @@ struct Entry {
 /// The batch groups in solve order: `(group name, backend, core)`. `core`
 /// groups fold into the seed-comparable aggregate; the rest fold into
 /// `extended`.
-const GROUPS: [(&str, SolverBackend, bool); 6] = [
+const GROUPS: [(&str, SolverBackend, bool); 5] = [
     ("simplex", SolverBackend::Simplex, true),
-    ("interior", SolverBackend::InteriorPoint, true),
     ("revised", SolverBackend::Revised, false),
     ("dp", SolverBackend::Dp, false),
     ("simplex-full", SolverBackend::Simplex, false),
@@ -230,15 +225,13 @@ fn plan(config: &SuiteConfig) -> Result<Vec<Entry>, String> {
     for inst in pinned_instances(&config.sizes) {
         let m = inst.sinks.len();
         let problem = planned_problem(&inst)?;
-        let mut backends = vec![(SolverBackend::Simplex, "simplex", "simplex")];
-        if m <= config.interior_cap {
-            backends.push((SolverBackend::InteriorPoint, "interior", "interior"));
-        }
-        backends.push((SolverBackend::Revised, "revised", "revised"));
         // The exact oracle runs only at the base sizes: its C(m, 2)-row
         // rational core is the cross-check, not the large-instance path.
-        backends.push((SolverBackend::Dp, "dp", "dp"));
-        for (backend, backend_label, group) in backends {
+        for (backend, backend_label, group) in [
+            (SolverBackend::Simplex, "simplex", "simplex"),
+            (SolverBackend::Revised, "revised", "revised"),
+            (SolverBackend::Dp, "dp", "dp"),
+        ] {
             entries.push(Entry {
                 name: inst.name.clone(),
                 backend,
@@ -546,7 +539,6 @@ pub fn run(config: &SuiteConfig) -> Result<BenchRun, String> {
     Ok(BenchRun {
         label: config.label.clone(),
         sizes: config.sizes.clone(),
-        interior_cap: config.interior_cap,
         rows,
         aggregate,
         extended,
@@ -580,13 +572,9 @@ impl BenchRun {
         ));
         s.push_str(&format!("    \"die\": {},\n", json_f64(DIE)));
         s.push_str(&format!(
-            "    \"window\": {{\"lower_frac\": {}, \"upper_frac\": {}}},\n",
+            "    \"window\": {{\"lower_frac\": {}, \"upper_frac\": {}}}\n  }},\n",
             json_f64(LOWER_FRAC),
             json_f64(UPPER_FRAC)
-        ));
-        s.push_str(&format!(
-            "    \"interior_cap\": {}\n  }},\n",
-            self.interior_cap
         ));
 
         s.push_str("  \"deterministic\": {\n    \"instances\": [\n");
@@ -666,7 +654,6 @@ mod tests {
             label: "test".to_string(),
             threads: 2,
             sizes: vec![5, 8],
-            interior_cap: 6,
             full: false,
             audit: false,
             serve: false,
@@ -713,12 +700,11 @@ mod tests {
     #[test]
     fn suite_runs_and_serializes_strict_json_with_split_sections() {
         let run = run(&tiny()).unwrap();
-        // 2 sizes × 2 instances with simplex + revised + dp everywhere and
-        // interior only at m = 5 ⇒ 12 + 2 rows; the 4 revised and 4 dp
-        // solves fold into the extended aggregate, not the seed-comparable
-        // core.
-        assert_eq!(run.rows.len(), 14);
-        assert_eq!(run.aggregate.solves, 6);
+        // 2 sizes × 2 instances with simplex + revised + dp ⇒ 12 rows; the
+        // 4 revised and 4 dp solves fold into the extended aggregate, not
+        // the seed-comparable core.
+        assert_eq!(run.rows.len(), 12);
+        assert_eq!(run.aggregate.solves, 4);
         assert_eq!(run.extended.solves, 8);
         assert_eq!(run.extended.counter("lp.solves"), 4);
         assert_eq!(run.extended.counter("dp.solves"), 4);

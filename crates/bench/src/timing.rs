@@ -1,9 +1,10 @@
 //! CPU-time scaling table (the §8 solver discussion): EBF solve time vs.
-//! sink count for both LP backends, plus the zero-skew closed form.
+//! sink count for the dense and the revised simplex, plus the zero-skew
+//! closed form.
 //!
 //! The paper reports that LOQO's interior-point method beats the simplex
-//! "for large problems"; this experiment makes the crossover measurable on
-//! this implementation (see EXPERIMENTS.md for the recorded verdict).
+//! "for large problems". EXPERIMENTS.md records the verdict measured with
+//! this crate's former interior-point backend: not reproduced.
 //!
 //! Each cell is the wall clock of one call, timed with `Instant` around
 //! the call — the same way the `lubt bench` suite times its groups.
@@ -17,20 +18,15 @@ use lubt_obs::json::json_f64;
 use lubt_topology::{nearest_neighbor_topology, SourceMode};
 use std::time::Instant;
 
-/// Sink count beyond which the dense-Cholesky interior point (O(rows³)
-/// per iteration) is skipped and reported as `NaN` / `-` / `null`.
-pub const DEFAULT_INTERIOR_CAP: usize = 32;
-
 /// One scaling sample.
 #[derive(Debug, Clone)]
 pub struct TimingRow {
     /// Sink count.
     pub sinks: usize,
-    /// Simplex wall time (seconds).
+    /// Dense simplex wall time (seconds).
     pub simplex_s: f64,
-    /// Interior-point wall time (seconds); `NaN` when the size was over
-    /// the interior-point cap and the backend was skipped.
-    pub interior_s: f64,
+    /// Revised simplex wall time (seconds).
+    pub revised_s: f64,
     /// Zero-skew closed-form wall time (seconds).
     pub zero_skew_s: f64,
     /// Steiner rows the lazy scheme materialized, out of C(m, 2).
@@ -39,27 +35,12 @@ pub struct TimingRow {
     pub total_pairs: usize,
 }
 
-/// Measures the scaling table on subsamples of one instance, skipping the
-/// interior point above [`DEFAULT_INTERIOR_CAP`] sinks.
+/// Measures the scaling table on subsamples of one instance.
 ///
 /// # Errors
 ///
 /// Propagates solver failures.
 pub fn run(instance: &Instance, sizes: &[usize]) -> Result<Vec<TimingRow>, LubtError> {
-    run_with_interior_cap(instance, sizes, DEFAULT_INTERIOR_CAP)
-}
-
-/// [`run`] with an explicit interior-point size cap (rows above the cap
-/// report `interior_s = NaN`).
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn run_with_interior_cap(
-    instance: &Instance,
-    sizes: &[usize],
-    interior_cap: usize,
-) -> Result<Vec<TimingRow>, LubtError> {
     let mut rows = Vec::new();
     for &m in sizes {
         let inst = instance.subsample(m);
@@ -79,15 +60,11 @@ pub fn run_with_interior_cap(
             .solve(&problem)?;
         let simplex_s = start.elapsed().as_secs_f64();
 
-        let interior_s = if m <= interior_cap {
-            let start = Instant::now();
-            let _ = EbfSolver::new()
-                .with_backend(SolverBackend::InteriorPoint)
-                .solve(&problem)?;
-            start.elapsed().as_secs_f64()
-        } else {
-            f64::NAN
-        };
+        let start = Instant::now();
+        let _ = EbfSolver::new()
+            .with_backend(SolverBackend::Revised)
+            .solve(&problem)?;
+        let revised_s = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
         let _ = zero_skew_edge_lengths(&topo, &inst.sinks, Some(src), Some(1.5 * radius))?;
@@ -96,7 +73,7 @@ pub fn run_with_interior_cap(
         rows.push(TimingRow {
             sinks: m,
             simplex_s,
-            interior_s,
+            revised_s,
             zero_skew_s,
             steiner_rows: report.steiner_rows,
             total_pairs: report.total_pairs,
@@ -110,7 +87,7 @@ pub fn to_text(rows: &[TimingRow]) -> String {
     let header = [
         "sinks",
         "simplex [s]",
-        "interior [s]",
+        "revised [s]",
         "zero-skew [s]",
         "steiner rows",
         "C(m,2)",
@@ -121,11 +98,7 @@ pub fn to_text(rows: &[TimingRow]) -> String {
             vec![
                 r.sinks.to_string(),
                 num(r.simplex_s, 4),
-                if r.interior_s.is_nan() {
-                    "-".to_string()
-                } else {
-                    num(r.interior_s, 4)
-                },
+                num(r.revised_s, 4),
                 num(r.zero_skew_s, 6),
                 r.steiner_rows.to_string(),
                 r.total_pairs.to_string(),
@@ -136,18 +109,17 @@ pub fn to_text(rows: &[TimingRow]) -> String {
 }
 
 /// Serializes the rows as one strict-JSON array. Every float goes
-/// through the total [`json_f64`] formatter, so a skipped interior point
-/// (`NaN`) becomes `null` instead of a bare non-finite token.
+/// through the total [`json_f64`] formatter.
 pub fn rows_to_json(rows: &[TimingRow]) -> String {
     let body: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "  {{\"sinks\": {}, \"simplex_s\": {}, \"interior_s\": {}, \
+                "  {{\"sinks\": {}, \"simplex_s\": {}, \"revised_s\": {}, \
                  \"zero_skew_s\": {}, \"steiner_rows\": {}, \"total_pairs\": {}}}",
                 r.sinks,
                 json_f64(r.simplex_s),
-                json_f64(r.interior_s),
+                json_f64(r.revised_s),
                 json_f64(r.zero_skew_s),
                 r.steiner_rows,
                 r.total_pairs
@@ -164,34 +136,24 @@ mod tests {
     use lubt_obs::json::validate;
 
     #[test]
-    fn produces_rows_with_positive_times_and_caps_the_interior_point() {
-        // Cap of 8 forces the m = 10 row onto the NaN path without paying
-        // for a > 32-sink solve in a unit test.
-        let rows = run_with_interior_cap(&synthetic::prim1(), &[6, 10], 8).unwrap();
+    fn produces_rows_with_positive_times() {
+        let rows = run(&synthetic::prim1(), &[6, 10]).unwrap();
         assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert!(r.simplex_s > 0.0 && r.zero_skew_s > 0.0);
+            assert!(r.simplex_s > 0.0 && r.revised_s > 0.0 && r.zero_skew_s > 0.0);
             assert!(r.steiner_rows <= r.total_pairs);
-            if r.sinks <= 8 {
-                assert!(r.interior_s > 0.0, "interior point ran at m={}", r.sinks);
-            } else {
-                assert!(r.interior_s.is_nan(), "m={} is over the cap", r.sinks);
-            }
         }
         let text = to_text(&rows);
         assert!(text.contains("simplex"));
+        assert!(text.contains("revised [s]"));
         assert_eq!(text.lines().count(), 4);
-        // The skipped backend renders as `-`, never a bare NaN.
-        assert!(text.contains(" - "), "capped row renders a dash: {text}");
-        assert!(!text.contains("NaN"));
     }
 
     #[test]
-    fn rows_serialize_to_strict_json_with_null_for_skipped_backends() {
-        let rows = run_with_interior_cap(&synthetic::prim1(), &[6, 10], 8).unwrap();
+    fn rows_serialize_to_strict_json() {
+        let rows = run(&synthetic::prim1(), &[6, 10]).unwrap();
         let doc = rows_to_json(&rows);
         validate(&doc).unwrap_or_else(|e| panic!("invalid timing JSON: {e}\n{doc}"));
-        assert!(doc.contains("\"interior_s\": null"), "{doc}");
-        assert!(!doc.contains("NaN"));
+        assert!(doc.contains("\"revised_s\": "), "{doc}");
     }
 }

@@ -11,21 +11,21 @@ use lubt_topology::{bipartition_topology, matching_topology, SourceMode, Topolog
 
 const USAGE: &str = "usage:
   lubt solve <input> --lower L --upper U [--absolute] \
-[--topology nn|matching|bisect|aware] [--lp-backend simplex|ipm|revised|dp] [--threads N] \
+[--topology nn|matching|bisect|aware] [--lp-backend simplex|revised|dp] [--threads N] \
 [--max-lp-iterations N] [--audit] [--svg out.svg] [--json out.json] [--trace-json [out.json]] \
 [--profile [out.json]] [--profile-folded [out.txt]] [--trace-event-cap N]
   lubt batch <input>... --lower L --upper U [--absolute] \
-[--topology nn|matching|bisect|aware] [--lp-backend simplex|ipm|revised|dp] [--threads N] \
+[--topology nn|matching|bisect|aware] [--lp-backend simplex|revised|dp] [--threads N] \
 [--max-lp-iterations N] [--audit] [--json out.json] [--metrics [out.json]] \
 [--metrics-prom [out.prom]] [--profile [out.json]] [--profile-folded [out.txt]] \
 [--trace-event-cap N]
   lubt audit <input> --lower L --upper U [--absolute] \
-[--topology nn|matching|bisect|aware] [--lp-backend simplex|ipm|revised|dp] [--json [out.json]]
+[--topology nn|matching|bisect|aware] [--lp-backend simplex|revised|dp] [--json [out.json]]
   lubt profile <input> --lower L --upper U [--absolute] \
-[--topology nn|matching|bisect|aware] [--lp-backend simplex|ipm|revised|dp] \
+[--topology nn|matching|bisect|aware] [--lp-backend simplex|revised|dp] \
 [--format chrome|folded|tree|shape] [--out file] | lubt profile --check-folded file
-  lubt bench [--label L] [--threads N] [--sizes A,B,C] [--interior-cap K] [--full] [--audit] \
-[--serve] [--profile] [--par-intra] [--out file]
+  lubt bench [--label L] [--threads N] [--sizes A,B,C] [--full] [--audit] [--serve] \
+[--profile] [--par-intra] [--out file]
   lubt report --baseline A.json --current B.json [--timing-threshold F] \
 [--ignore-timings] [--json [out.json]]
   lubt lint <input> [--lower L] [--upper U] [--absolute] \
@@ -222,12 +222,9 @@ fn choose_backend(parsed: &Parsed) -> Result<SolverBackend, String> {
         .unwrap_or("simplex")
     {
         "simplex" => Ok(SolverBackend::Simplex),
-        "ipm" => Ok(SolverBackend::InteriorPoint),
         "revised" => Ok(SolverBackend::Revised),
         "dp" => Ok(SolverBackend::Dp),
-        other => Err(format!(
-            "unknown backend {other:?} (simplex|ipm|revised|dp)"
-        )),
+        other => Err(format!("unknown backend {other:?} (simplex|revised|dp)")),
     }
 }
 
@@ -592,7 +589,6 @@ fn cmd_audit(parsed: &Parsed) -> Result<(), String> {
     let backend = choose_backend(parsed)?;
     let backend_name = match backend {
         SolverBackend::Simplex => "simplex",
-        SolverBackend::InteriorPoint => "ipm",
         SolverBackend::Revised => "revised",
         SolverBackend::Dp => "dp",
     };
@@ -764,10 +760,7 @@ fn cmd_profile(parsed: &Parsed) -> Result<(), String> {
 /// byte-identical across thread counts and machines; wall clock and
 /// machine facts live under `"determinism_exempt"`.
 fn cmd_bench(parsed: &Parsed) -> Result<(), String> {
-    reject_bare(
-        parsed,
-        &["label", "threads", "sizes", "interior-cap", "out"],
-    )?;
+    reject_bare(parsed, &["label", "threads", "sizes", "out"])?;
     let mut config = lubt_bench::suite::SuiteConfig {
         label: parsed.get("label").unwrap_or("local").to_string(),
         ..lubt_bench::suite::SuiteConfig::default()
@@ -793,9 +786,6 @@ fn cmd_bench(parsed: &Parsed) -> Result<(), String> {
         if config.sizes.is_empty() {
             return Err("--sizes must name at least one size".to_string());
         }
-    }
-    if let Some(cap) = parsed.get_usize("interior-cap")? {
-        config.interior_cap = cap;
     }
     config.full = parsed.has("full");
     config.audit = parsed.has("audit");

@@ -509,16 +509,19 @@ fn alternate_topologies_and_backend() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+    // The retired interior-point backend is an unknown backend under the
+    // original `--backend` spelling too.
     let out = lubt()
         .args(["solve"])
         .arg(&pts)
         .args(["--upper", "1.5", "--backend", "ipm"])
         .output()
         .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        err.contains("unknown backend \"ipm\" (simplex|revised|dp)"),
+        "stderr: {err}"
     );
 
     let _ = std::fs::remove_file(&pts);
@@ -529,10 +532,7 @@ fn revised_backend_via_cli_solves_batches_and_rejects_unknown() {
     // Usage advertises the new backend and the bench --full switch.
     let help = lubt().arg("help").output().unwrap();
     let text = String::from_utf8(help.stdout).unwrap();
-    assert!(
-        text.contains("--lp-backend simplex|ipm|revised|dp"),
-        "{text}"
-    );
+    assert!(text.contains("--lp-backend simplex|revised|dp"), "{text}");
     assert!(text.contains("--full"), "{text}");
 
     let pts = gen_batch("revised-cli", 4, 8);
@@ -574,17 +574,21 @@ fn revised_backend_via_cli_solves_batches_and_rejects_unknown() {
     };
     assert_eq!(run("1"), run("8"), "revised batch differs across threads");
 
-    let out = lubt()
-        .args(["solve"])
-        .arg(&pts[0])
-        .args(["--upper", "1.5", "--lp-backend", "bogus"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("unknown backend"), "stderr: {err}");
-    // The rejection enumerates every valid backend, dp included.
-    assert!(err.contains("simplex|ipm|revised|dp"), "stderr: {err}");
+    for bad in ["bogus", "ipm"] {
+        let out = lubt()
+            .args(["solve"])
+            .arg(&pts[0])
+            .args(["--upper", "1.5", "--lp-backend", bad])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{bad}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        // The rejection enumerates every valid backend, dp included.
+        assert!(
+            err.contains(&format!("unknown backend {bad:?} (simplex|revised|dp)")),
+            "stderr: {err}"
+        );
+    }
 
     for p in pts {
         let _ = std::fs::remove_file(p);
@@ -857,8 +861,6 @@ fn solve_batch_and_bench_accept_the_audit_flag() {
             "audit-cli",
             "--sizes",
             "5",
-            "--interior-cap",
-            "4",
             "--threads",
             "1",
             "--audit",
@@ -897,15 +899,7 @@ fn bench_deterministic_section_is_byte_identical_across_thread_counts() {
     let b = tmp("bench-t8.json");
     let run = |threads: &str, out_path: &PathBuf| {
         let out = lubt()
-            .args([
-                "bench",
-                "--label",
-                "cli-test",
-                "--sizes",
-                "5",
-                "--interior-cap",
-                "5",
-            ])
+            .args(["bench", "--label", "cli-test", "--sizes", "5"])
             .args(["--threads", threads, "--out"])
             .arg(out_path)
             .output()
@@ -937,15 +931,7 @@ fn bench_deterministic_section_is_byte_identical_across_thread_counts() {
 fn report_passes_on_identical_runs_and_fails_on_a_perturbed_counter() {
     let base = tmp("report-base.json");
     let out = lubt()
-        .args([
-            "bench",
-            "--label",
-            "base",
-            "--sizes",
-            "5",
-            "--interior-cap",
-            "4",
-        ])
+        .args(["bench", "--label", "base", "--sizes", "5"])
         .args(["--threads", "2", "--out"])
         .arg(&base)
         .output()
@@ -1244,7 +1230,7 @@ fn trace_event_cap_zero_and_one_warn_about_dropped_events() {
 #[test]
 fn profile_subcommand_exports_valid_documents_across_backends_and_outcomes() {
     let pts = gen_profile_instance("prof-backends");
-    for backend in ["simplex", "ipm", "revised", "dp"] {
+    for backend in ["simplex", "revised", "dp"] {
         // Feasible: the Chrome doc lands on stdout and validates strictly.
         let out = lubt()
             .args(["profile"])

@@ -3,22 +3,18 @@
 
 use crate::steiner::{all_pair_constraints, seed_pairs, SinkPair};
 use crate::{LubtError, LubtProblem};
-use lubt_lp::{
-    Cmp, InteriorPointSolver, LinExpr, LpSolve, Model, RevisedSolver, SimplexSolver, Status, Var,
-};
+use lubt_lp::{Cmp, LinExpr, LpSolve, Model, RevisedSolver, SimplexSolver, Status, Var};
 use lubt_obs::{Recorder, SolveTrace, SpanGuard, TraceRecorder};
 use lubt_topology::NodeId;
 use std::sync::Arc;
 
-/// LP backend selection — the paper used LOQO (interior point) and noted
-/// the simplex-vs-interior-point trade-off; both are available here.
+/// LP backend selection. The paper used LOQO (interior point); here two
+/// simplex codes solve the LP and an exact LP-free oracle checks them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverBackend {
     /// Two-phase primal simplex (exact infeasibility certificates;
     /// default).
     Simplex,
-    /// Mehrotra predictor-corrector interior point.
-    InteriorPoint,
     /// Sparse revised simplex: same pivot rules and certificates as
     /// [`SolverBackend::Simplex`] but the Steiner rows stay sparse and only
     /// the basis factorization is kept — the fast path on large instances.
@@ -64,7 +60,8 @@ impl SteinerMode {
 /// Statistics from an EBF solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EbfReport {
-    /// Total LP pivots / interior-point steps across all re-solves.
+    /// Total LP pivots across all re-solves (the exact dual-simplex pivots
+    /// on the dp backend).
     pub lp_iterations: usize,
     /// Number of separation rounds (1 when eager).
     pub separation_rounds: usize,
@@ -308,16 +305,6 @@ impl EbfSolver {
         s
     }
 
-    /// The interior-point backend configured with this solver's iteration
-    /// cap (the IPM reports no per-pivot counters).
-    fn interior(&self) -> InteriorPointSolver {
-        let mut s = InteriorPointSolver::new();
-        if let Some(limit) = self.max_lp_iterations {
-            s = s.with_max_iterations(limit);
-        }
-        s
-    }
-
     /// Like [`EbfSolver::solve`], but every phase of the solve is recorded
     /// into a fresh [`TraceRecorder`] and the resulting [`SolveTrace`] is
     /// returned **alongside** the result — including on failure, so an
@@ -363,10 +350,11 @@ impl EbfSolver {
     /// solve with [`LubtError::Audit`] carrying deny-level `audit-*`
     /// diagnostics.
     ///
-    /// The interior-point backend carries no simplex basis, so only the
-    /// primal side (row residuals, variable bounds, objective) is checked
-    /// there. Verification outcomes land on the recorder under `audit.*`
-    /// counters, timed by the `audit` span (`time.audit`).
+    /// The dp backend has no float certificate, so only the primal side
+    /// (row residuals, variable bounds, objective) of its rounded optimum
+    /// is checked, against the eager LP. Verification outcomes land on the
+    /// recorder under `audit.*` counters, timed by the `audit` span
+    /// (`time.audit`).
     #[must_use]
     pub fn with_audit(mut self, enabled: bool) -> Self {
         self.audit = enabled;
@@ -399,9 +387,10 @@ impl EbfSolver {
     }
 
     /// [`EbfSolver::solve`], additionally handing back the converged
-    /// incremental session as a [`WarmEbfSession`] when the solve went
-    /// through one (lazy Steiner mode on the [`SolverBackend::Simplex`] or
-    /// [`SolverBackend::Revised`] backend; `None` otherwise).
+    /// incremental session as a [`WarmEbfSession`]. Every lazy solve on the
+    /// [`SolverBackend::Simplex`] or [`SolverBackend::Revised`] backend goes
+    /// through one; the session is `None` for [`SteinerMode::Eager`] and
+    /// for the [`SolverBackend::Dp`] backend.
     ///
     /// A warm session is what the serve layer keeps across requests: its
     /// [`WarmEbfSession::resolve_lengths`] replays the converged basis
@@ -440,14 +429,12 @@ impl EbfSolver {
         let (mut model, edge_vars) = base_model(problem);
         let var_of = |node: NodeId| edge_vars[node.index() - 1];
 
-        let add_steiner_row = |model: &mut Model, pair: &SinkPair| {
+        let steiner_expr = |pair: &SinkPair| {
             let path = topo.path_between(pair.a, pair.b);
-            let expr = LinExpr::from_terms(path.iter().map(|&e| (var_of(e), 1.0)));
-            model.add_constraint(expr, Cmp::Ge, pair.dist);
+            LinExpr::from_terms(path.iter().map(|&e| (var_of(e), 1.0)))
         };
 
         let total_pairs = m * (m - 1) / 2;
-        let mut lp_iterations = 0usize;
         let mut steiner_rows = 0usize;
         // Zero-padded so the name-sorted child order of the span tree is
         // also the numeric round order.
@@ -468,28 +455,12 @@ impl EbfSolver {
                            cert: Option<&lubt_lp::Certificate>|
          -> Result<(), LubtError> {
             let _span = SpanGuard::enter(rec, "audit");
-            let (findings, verified_key) = match self.backend {
-                // The IPM carries no simplex basis, so only the primal side
-                // is checkable; dual/CS verification needs a certificate.
-                SolverBackend::InteriorPoint => {
-                    if sol.status() == Status::Optimal {
-                        (
-                            lubt_audit::audit_primal(model, sol.values(), sol.objective()),
-                            Some("audit.primal_verified"),
-                        )
-                    } else {
-                        (Vec::new(), None)
-                    }
-                }
-                _ => {
-                    let key = match sol.status() {
-                        Status::Optimal => Some("audit.optimality_verified"),
-                        Status::Infeasible => Some("audit.farkas_verified"),
-                        Status::Unbounded => None,
-                    };
-                    (lubt_audit::audit_solution(model, sol, cert), key)
-                }
+            let verified_key = match sol.status() {
+                Status::Optimal => Some("audit.optimality_verified"),
+                Status::Infeasible => Some("audit.farkas_verified"),
+                Status::Unbounded => None,
             };
+            let findings = lubt_audit::audit_solution(model, sol, cert);
             if findings.is_empty() {
                 if rec.enabled() {
                     if let Some(key) = verified_key {
@@ -516,7 +487,6 @@ impl EbfSolver {
                             (self.simplex().solve(model)?, None)
                         }
                     }
-                    SolverBackend::InteriorPoint => (self.interior().solve(model)?, None),
                     SolverBackend::Revised => {
                         if self.audit {
                             self.revised().solve_certified(model)?
@@ -571,7 +541,7 @@ impl EbfSolver {
         match self.steiner_mode {
             SteinerMode::Eager => {
                 for pair in all_pair_constraints(problem) {
-                    add_steiner_row(&mut model, &pair);
+                    model.add_constraint(steiner_expr(&pair), Cmp::Ge, pair.dist);
                     steiner_rows += 1;
                 }
                 if rec.enabled() {
@@ -579,11 +549,10 @@ impl EbfSolver {
                     rec.incr("ebf.eager_rows", steiner_rows as u64);
                 }
                 let sol = solve_once(&model)?;
-                lp_iterations += sol.iterations();
                 Ok((
                     extract(&sol),
                     EbfReport {
-                        lp_iterations,
+                        lp_iterations: sol.iterations(),
                         separation_rounds: 1,
                         steiner_rows,
                         total_pairs,
@@ -594,151 +563,72 @@ impl EbfSolver {
             }
             SteinerMode::Lazy { max_rounds, batch } => {
                 for pair in seed_pairs(problem) {
-                    add_steiner_row(&mut model, &pair);
+                    model.add_constraint(steiner_expr(&pair), Cmp::Ge, pair.dist);
                     steiner_rows += 1;
                 }
                 if rec.enabled() {
                     rec.incr("ebf.seed_rows", steiner_rows as u64);
                 }
-                // On the simplex backends (dense and revised), the growing
-                // model lives in an incremental session: each separation
-                // round only appends rows, which the dual simplex repairs
-                // from the previous optimum instead of re-solving cold.
-                if matches!(
-                    self.backend,
-                    SolverBackend::Simplex | SolverBackend::Revised
-                ) {
-                    let steiner_expr = |pair: &SinkPair| {
-                        let path = topo.path_between(pair.a, pair.b);
-                        LinExpr::from_terms(path.iter().map(|&e| (var_of(e), 1.0)))
-                    };
-                    let mut session = {
-                        // The cold solve of the seed model: its kernel
-                        // phases nest under `solve/lp`, while warm-started
-                        // per-round resolves land under each round's span.
+                // The growing model lives in an incremental session: each
+                // separation round only appends rows, which the dual simplex
+                // repairs from the previous optimum instead of re-solving
+                // cold.
+                let mut session = {
+                    // The cold solve of the seed model: its kernel phases
+                    // nest under `solve/lp`, while warm-started per-round
+                    // resolves land under each round's span.
+                    let _span = SpanGuard::enter(rec, "lp");
+                    match self.backend {
+                        SolverBackend::Simplex => GrowingSession::Dense(Box::new(
+                            lubt_lp::SimplexSession::start_with(model, self.simplex())?,
+                        )),
+                        _ => GrowingSession::Revised(Box::new(
+                            lubt_lp::RevisedSession::start_with(model, self.revised())?,
+                        )),
+                    }
+                };
+                let mut rounds = 0usize;
+                let mut truncated = false;
+                let mut sep_cache = crate::steiner::SeparationCache::new();
+                loop {
+                    // One span per separation round, covering the warm
+                    // resolve and the violated-pair scan.
+                    let round_label = round_name(rounds + 1);
+                    let _round_span = SpanGuard::enter(rec, &round_label);
+                    // `resolve` hands back a borrow of the session, so copy
+                    // out everything the round needs (plus a clone of the
+                    // solution when auditing — the certificate lives on the
+                    // session itself).
+                    let (status, lp_iterations, lengths, audited) = {
                         let _span = SpanGuard::enter(rec, "lp");
-                        match self.backend {
-                            SolverBackend::Simplex => GrowingSession::Dense(Box::new(
-                                lubt_lp::SimplexSession::start_with(model, self.simplex())?,
-                            )),
-                            _ => GrowingSession::Revised(Box::new(
-                                lubt_lp::RevisedSession::start_with(model, self.revised())?,
-                            )),
-                        }
+                        let sol = session.resolve()?;
+                        (
+                            sol.status(),
+                            sol.iterations(),
+                            extract(sol),
+                            if self.audit { Some(sol.clone()) } else { None },
+                        )
                     };
-                    let mut rounds = 0usize;
-                    let mut truncated = false;
-                    let mut sep_cache = crate::steiner::SeparationCache::new();
-                    loop {
-                        // One span per separation round, covering the warm
-                        // resolve and the violated-pair scan.
-                        let round_label = round_name(rounds + 1);
-                        let _round_span = SpanGuard::enter(rec, &round_label);
-                        // `resolve` hands back a borrow of the session, so
-                        // copy out everything the round needs (plus a clone
-                        // of the solution when auditing — the certificate
-                        // lives on the session itself).
-                        let (status, iterations, lengths, audited) = {
-                            let _span = SpanGuard::enter(rec, "lp");
-                            let sol = session.resolve()?;
-                            (
-                                sol.status(),
-                                sol.iterations(),
-                                extract(sol),
-                                if self.audit { Some(sol.clone()) } else { None },
-                            )
-                        };
-                        match status {
-                            Status::Optimal => {}
-                            Status::Infeasible => {
-                                // Theorem 4.2 turns LP infeasibility into a
-                                // "no LUBT exists" certificate — under
-                                // audit, insist on an exactly verifying
-                                // Farkas ray before trusting that claim.
-                                if let Some(sol) = &audited {
-                                    let cert = session.certificate();
-                                    audit_check(session.model(), sol, cert.as_ref())?;
-                                }
-                                return Err(LubtError::Infeasible);
-                            }
-                            Status::Unbounded => {
-                                return Err(LubtError::Lp(lubt_lp::LpError::NumericalBreakdown(
-                                    "EBF objective cannot be unbounded".to_string(),
-                                )))
-                            }
-                        }
-                        lp_iterations = iterations;
-                        rounds += 1;
-                        let violated = {
-                            let _span = SpanGuard::enter(rec, "separate");
-                            crate::steiner::violated_pairs_cached(
-                                problem,
-                                &lengths,
-                                self.violation_tol,
-                                self.threads,
-                                &mut sep_cache,
-                                rec,
-                            )
-                        };
-                        note_round(rounds, &violated);
-                        if violated.is_empty() {
-                            // Converged: the warm-started session's final
-                            // basis is the one the certificate describes —
-                            // audit it before returning the lengths.
+                    match status {
+                        Status::Optimal => {}
+                        Status::Infeasible => {
+                            // Theorem 4.2 turns LP infeasibility into a "no
+                            // LUBT exists" certificate — under audit, insist
+                            // on an exactly verifying Farkas ray before
+                            // trusting that claim.
                             if let Some(sol) = &audited {
                                 let cert = session.certificate();
                                 audit_check(session.model(), sol, cert.as_ref())?;
                             }
-                            let report = EbfReport {
-                                lp_iterations,
-                                separation_rounds: rounds,
-                                steiner_rows,
-                                total_pairs,
-                                truncated,
-                            };
-                            let warm = WarmEbfSession {
-                                session,
-                                edge_vars: edge_vars.clone(),
-                                n_nodes,
-                                report: report.clone(),
-                            };
-                            return Ok((lengths, report, Some(warm)));
+                            return Err(LubtError::Infeasible);
                         }
-                        let cuts: Vec<SinkPair> = if rounds >= max_rounds {
-                            // Safety net: materialize everything.
-                            truncated = true;
-                            if rec.enabled() {
-                                rec.incr("ebf.truncations", 1);
-                                rec.event(
-                                    "ebf.truncation",
-                                    &format!(
-                                        "lazy budget exhausted after {rounds} round(s); \
-                                         materializing all {total_pairs} pair constraints"
-                                    ),
-                                );
-                            }
-                            all_pair_constraints(problem)
-                        } else {
-                            violated.into_iter().take(batch).map(|(p, _)| p).collect()
-                        };
-                        for pair in cuts {
-                            session.add_constraint(steiner_expr(&pair), Cmp::Ge, pair.dist)?;
-                            steiner_rows += 1;
-                            if rec.enabled() {
-                                rec.incr("ebf.cuts_added", 1);
-                            }
+                        Status::Unbounded => {
+                            return Err(LubtError::Lp(lubt_lp::LpError::NumericalBreakdown(
+                                "EBF objective cannot be unbounded".to_string(),
+                            )))
                         }
                     }
-                }
-                let mut rounds = 0usize;
-                let mut sep_cache = crate::steiner::SeparationCache::new();
-                loop {
-                    let round_label = round_name(rounds + 1);
-                    let _round_span = SpanGuard::enter(rec, &round_label);
-                    let sol = solve_once(&model)?;
-                    lp_iterations += sol.iterations();
                     rounds += 1;
-                    let lengths = extract(&sol);
                     let violated = {
                         let _span = SpanGuard::enter(rec, "separate");
                         crate::steiner::violated_pairs_cached(
@@ -752,20 +642,31 @@ impl EbfSolver {
                     };
                     note_round(rounds, &violated);
                     if violated.is_empty() {
-                        return Ok((
-                            lengths,
-                            EbfReport {
-                                lp_iterations,
-                                separation_rounds: rounds,
-                                steiner_rows,
-                                total_pairs,
-                                truncated: false,
-                            },
-                            None,
-                        ));
+                        // Converged: the warm-started session's final basis
+                        // is the one the certificate describes — audit it
+                        // before returning the lengths.
+                        if let Some(sol) = &audited {
+                            let cert = session.certificate();
+                            audit_check(session.model(), sol, cert.as_ref())?;
+                        }
+                        let report = EbfReport {
+                            lp_iterations,
+                            separation_rounds: rounds,
+                            steiner_rows,
+                            total_pairs,
+                            truncated,
+                        };
+                        let warm = WarmEbfSession {
+                            session,
+                            edge_vars: edge_vars.clone(),
+                            n_nodes,
+                            report: report.clone(),
+                        };
+                        return Ok((lengths, report, Some(warm)));
                     }
-                    if rounds >= max_rounds {
-                        // Safety net: materialize everything and solve once.
+                    let cuts: Vec<SinkPair> = if rounds >= max_rounds {
+                        // Safety net: materialize everything.
+                        truncated = true;
                         if rec.enabled() {
                             rec.incr("ebf.truncations", 1);
                             rec.event(
@@ -776,26 +677,12 @@ impl EbfSolver {
                                 ),
                             );
                         }
-                        for pair in all_pair_constraints(problem) {
-                            add_steiner_row(&mut model, &pair);
-                            steiner_rows += 1;
-                        }
-                        let sol = solve_once(&model)?;
-                        lp_iterations += sol.iterations();
-                        return Ok((
-                            extract(&sol),
-                            EbfReport {
-                                lp_iterations,
-                                separation_rounds: rounds + 1,
-                                steiner_rows,
-                                total_pairs,
-                                truncated: true,
-                            },
-                            None,
-                        ));
-                    }
-                    for (pair, _) in violated.into_iter().take(batch) {
-                        add_steiner_row(&mut model, &pair);
+                        all_pair_constraints(problem)
+                    } else {
+                        violated.into_iter().take(batch).map(|(p, _)| p).collect()
+                    };
+                    for pair in cuts {
+                        session.add_constraint(steiner_expr(&pair), Cmp::Ge, pair.dist)?;
                         steiner_rows += 1;
                         if rec.enabled() {
                             rec.incr("ebf.cuts_added", 1);
@@ -907,8 +794,8 @@ impl EbfSolver {
                 if self.audit {
                     // Cross-check the rounded lengths against the eager
                     // §4.3 LP — independently assembled window rows plus
-                    // all C(m, 2) pair rows — like the certificate-free
-                    // interior-point audit.
+                    // all C(m, 2) pair rows. The DP has no float
+                    // certificate, so only the primal side is checked.
                     let _span = SpanGuard::enter(rec, "audit");
                     let (mut model, edge_vars) = base_model(problem);
                     let var_of = |node: NodeId| edge_vars[node.index() - 1];
@@ -1161,22 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree() {
-        let p = LubtBuilder::new(square())
-            .source(Point::new(5.0, 5.0))
-            .bounds(DelayBounds::uniform(4, 10.0, 14.0))
-            .build()
-            .unwrap();
-        let (l1, _) = EbfSolver::new().solve(&p).unwrap();
-        let (l2, _) = EbfSolver::new()
-            .with_backend(SolverBackend::InteriorPoint)
-            .solve(&p)
-            .unwrap();
-        let scale = 1.0 + tree_cost(&l1).abs();
-        assert!((tree_cost(&l1) - tree_cost(&l2)).abs() / scale < 1e-5);
-    }
-
-    #[test]
     fn revised_backend_matches_dense_simplex() {
         let p = LubtBuilder::new(square())
             .source(Point::new(5.0, 5.0))
@@ -1283,7 +1154,6 @@ mod tests {
         for (backend, key) in [
             (SolverBackend::Simplex, "audit.optimality_verified"),
             (SolverBackend::Revised, "audit.optimality_verified"),
-            (SolverBackend::InteriorPoint, "audit.primal_verified"),
             (SolverBackend::Dp, "audit.primal_verified"),
         ] {
             let (base_lengths, base_report) =
@@ -1570,24 +1440,6 @@ mod tests {
         assert!(result.is_ok());
         let frac = trace.gauge("simplex.limit_fraction").unwrap();
         assert!(frac > 0.0 && frac < 0.01, "limit proximity {frac}");
-    }
-
-    #[test]
-    fn interior_point_respects_the_iteration_cap() {
-        let p = LubtBuilder::new(square())
-            .source(Point::new(5.0, 5.0))
-            .bounds(DelayBounds::uniform(4, 12.0, 15.0))
-            .build()
-            .unwrap();
-        let err = EbfSolver::new()
-            .with_backend(SolverBackend::InteriorPoint)
-            .with_max_lp_iterations(1)
-            .solve(&p)
-            .expect_err("one IPM step cannot converge");
-        assert!(matches!(
-            err,
-            LubtError::Lp(lubt_lp::LpError::IterationLimit { limit: 1 })
-        ));
     }
 
     #[test]

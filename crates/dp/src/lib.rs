@@ -4,9 +4,9 @@
 //! `lubt-dp`: an LP-free exact oracle for the paper's fixed-topology
 //! lower/upper-bounded-delay routing-tree problem.
 //!
-//! The three float backends in `lubt-lp` (dense simplex, revised simplex,
-//! interior point) share one model assembly and one kind of arithmetic, so
-//! a common-mode bug is invisible to differential tests between them.
+//! The two float backends in `lubt-lp` (dense simplex, revised simplex)
+//! share one model assembly and one kind of arithmetic, so a common-mode
+//! bug is invisible to differential tests between them.
 //! This crate solves the same problem along a completely independent
 //! path, in three stages, all exact:
 //!

@@ -1,15 +1,12 @@
 //! Linear-programming substrate for the LUBT Edge-Based Formulation.
 //!
 //! The original paper solved the EBF with the commercial interior-point code
-//! LOQO. This crate provides two self-contained solvers with the same
-//! surface:
+//! LOQO. This crate provides two self-contained simplex solvers with the
+//! same surface:
 //!
 //! * [`SimplexSolver`] — a two-phase dense-tableau primal simplex with
 //!   Dantzig pricing and an automatic switch to Bland's anti-cycling rule.
 //!   Exact infeasibility/unboundedness certificates; the default choice.
-//! * [`InteriorPointSolver`] — a Mehrotra predictor-corrector primal-dual
-//!   interior-point method (the algorithm family LOQO belongs to), solving
-//!   the normal equations with a dense Cholesky factorization.
 //! * [`RevisedSolver`] — a sparse revised simplex sharing the dense
 //!   backend's pivot rules and [`WarmStart`] token format, but storing the
 //!   constraint matrix column-sparse and keeping only a product-form basis
@@ -42,7 +39,6 @@
 mod certificate;
 mod error;
 mod factor;
-mod interior;
 mod linalg;
 mod lp_format;
 mod model;
@@ -56,7 +52,6 @@ mod standard;
 
 pub use certificate::{Certificate, ColumnRole, FarkasCertificate, OptimalityCertificate};
 pub use error::LpError;
-pub use interior::InteriorPointSolver;
 pub use lp_format::write_lp;
 pub use model::{Cmp, LinExpr, Model, Var};
 pub use presolve::{presolve, Presolved};

@@ -1,6 +1,6 @@
 //! Minimal dense linear algebra used by the solvers: a column-major-free,
-//! row-major square-matrix type with LU (partial pivoting) and Cholesky
-//! factorizations. Sizes in this crate are moderate (hundreds to a few
+//! row-major square-matrix type with an LU (partial pivoting)
+//! factorization. Sizes in this crate are moderate (hundreds to a few
 //! thousand), so straightforward O(n^3) dense kernels are appropriate.
 
 // Index-based loops are the natural idiom for the dense kernels here.
@@ -128,55 +128,6 @@ impl SquareMatrix {
         }
         Some(x)
     }
-
-    /// Cholesky factorization in place (`self` must be symmetric positive
-    /// definite up to the `reg` diagonal regularization); returns `false` on
-    /// breakdown.
-    pub(crate) fn cholesky(&mut self, reg: f64) -> bool {
-        let n = self.n;
-        for k in 0..n {
-            let mut d = self.at(k, k) + reg;
-            for j in 0..k {
-                let l = self.at(k, j);
-                d -= l * l;
-            }
-            if d <= 0.0 {
-                return false;
-            }
-            let d = d.sqrt();
-            *self.at_mut(k, k) = d;
-            for i in k + 1..n {
-                let mut s = self.at(i, k);
-                for j in 0..k {
-                    s -= self.at(i, j) * self.at(k, j);
-                }
-                *self.at_mut(i, k) = s / d;
-            }
-        }
-        true
-    }
-
-    /// Solves `L L' x = b` given a prior successful [`Self::cholesky`].
-    pub(crate) fn cholesky_solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.n;
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[i];
-            for j in 0..i {
-                s -= self.at(i, j) * y[j];
-            }
-            y[i] = s / self.at(i, i);
-        }
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in i + 1..n {
-                s -= self.at(j, i) * x[j];
-            }
-            x[i] = s / self.at(i, i);
-        }
-        x
-    }
 }
 
 /// Reusable LU factors (partial pivoting) for multi-right-hand-side solves.
@@ -254,29 +205,6 @@ mod tests {
         let x = m.lu_solve(vec![2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cholesky_round_trip() {
-        // SPD matrix A = M M' for a random-ish M.
-        let m = from_rows(&[&[4.0, 2.0, 0.6], &[2.0, 5.0, 1.0], &[0.6, 1.0, 3.0]]);
-        let mut f = m.clone();
-        assert!(f.cholesky(0.0));
-        let b = vec![1.0, -2.0, 0.5];
-        let x = f.cholesky_solve(&b);
-        for i in 0..3 {
-            let mut s = 0.0;
-            for j in 0..3 {
-                s += m.at(i, j) * x[j];
-            }
-            assert!((s - b[i]).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let mut m = from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
-        assert!(!m.cholesky(0.0));
     }
 
     #[test]

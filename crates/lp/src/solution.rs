@@ -4,7 +4,7 @@ use std::fmt;
 /// Outcome classification of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Status {
-    /// An optimal basic/interior solution was found.
+    /// An optimal basic solution was found.
     Optimal,
     /// The constraint system admits no feasible point.
     Infeasible,
@@ -106,7 +106,7 @@ impl Solution {
         self.duals.as_deref()
     }
 
-    /// Number of solver iterations (simplex pivots or interior-point steps).
+    /// Number of solver iterations (simplex pivots).
     pub fn iterations(&self) -> usize {
         self.iterations
     }

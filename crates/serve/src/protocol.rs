@@ -310,12 +310,11 @@ pub fn parse_request(doc: &Value) -> Result<Request, ProtocolError> {
             "backend" => {
                 backend = match value.as_str() {
                     Some("simplex") => SolverBackend::Simplex,
-                    Some("ipm") => SolverBackend::InteriorPoint,
                     Some("revised") => SolverBackend::Revised,
                     Some("dp") => SolverBackend::Dp,
                     Some(other) => {
                         return Err(ProtocolError::bad(format!(
-                            "unknown backend {other:?} (simplex|ipm|revised|dp)"
+                            "unknown backend {other:?} (simplex|revised|dp)"
                         )))
                     }
                     None => return Err(ProtocolError::bad("backend must be a string")),
@@ -552,6 +551,10 @@ mod tests {
             (
                 r#"{"op":"solve","upper":1.0,"backend":"gpu","instance":{"sinks":[[0,0]]}}"#,
                 "unknown backend",
+            ),
+            (
+                r#"{"op":"solve","upper":1.0,"backend":"ipm","instance":{"sinks":[[0,0]]}}"#,
+                "unknown backend \"ipm\" (simplex|revised|dp)",
             ),
         ];
         for (text, needle) in cases {

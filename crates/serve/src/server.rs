@@ -53,8 +53,10 @@ struct Shared {
     stopping: AtomicBool,
     stopped: Mutex<bool>,
     stop_cv: Condvar,
-    /// Requests admitted but not yet written back; drained before
-    /// `wait` returns so a process exit cannot cut a response short.
+    /// Frames read off a connection whose reply is not yet flushed —
+    /// every op, inline `ping` and `shutdown` included; a connection idle
+    /// in `read_frame` is not counted. `join_all` waits (bounded) for it
+    /// to reach zero, so a process exit cannot cut a reply short.
     inflight: AtomicUsize,
     /// Workers currently executing a request. Idle workers' cores are
     /// donated to the active solve's separation oracle (DESIGN.md §9) —
@@ -217,9 +219,9 @@ impl Server {
             let _ = acceptor.join();
         }
         // Workers have answered every admitted request; give the
-        // connection threads a bounded window to flush those responses
-        // onto their sockets before we return (and the process
-        // possibly exits).
+        // connection threads a bounded window to flush every reply to a
+        // frame they have read, the `shutdown` ack included, onto their
+        // sockets before we return (and the process possibly exits).
         let deadline = Instant::now() + Duration::from_secs(5);
         while self.shared.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
@@ -289,7 +291,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
         return serve_metrics(&mut reader, &mut writer, shared);
     }
     loop {
-        match read_frame(&mut reader, shared.config.max_request_bytes)? {
+        let frame = read_frame(&mut reader, shared.config.max_request_bytes)?;
+        // Counted until this iteration ends: after the reply is flushed,
+        // or on the early return of a failed write.
+        let _inflight = InflightGuard::enter(&shared.inflight);
+        match frame {
             Frame::Eof => return Ok(()),
             Frame::Oversized => {
                 shared.record_bookkeeping(|rec| rec.incr("serve.oversized", 1));
@@ -313,6 +319,22 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result
                 writer.flush()?;
             }
         }
+    }
+}
+
+/// One count of [`Shared::inflight`], released on drop.
+struct InflightGuard<'a>(&'a AtomicUsize);
+
+impl<'a> InflightGuard<'a> {
+    fn enter(inflight: &'a AtomicUsize) -> Self {
+        inflight.fetch_add(1, Ordering::SeqCst);
+        InflightGuard(inflight)
+    }
+}
+
+impl Drop for InflightGuard<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -394,7 +416,6 @@ fn enqueue_and_wait(request: Request, parse_ns: u64, shared: &Arc<Shared>) -> St
         .map(|ms| Instant::now() + Duration::from_millis(ms));
     let priority = request.priority;
     let (reply_tx, reply_rx) = mpsc::channel();
-    shared.inflight.fetch_add(1, Ordering::SeqCst);
     let queue_depth = shared.queue.len();
     let pushed = shared.queue.push(
         priority,
@@ -407,7 +428,7 @@ fn enqueue_and_wait(request: Request, parse_ns: u64, shared: &Arc<Shared>) -> St
             queue_depth,
         },
     );
-    let response = match pushed {
+    match pushed {
         Ok(()) => reply_rx.recv().unwrap_or_else(|_| {
             protocol::error_response(
                 &id,
@@ -431,9 +452,7 @@ fn enqueue_and_wait(request: Request, parse_ns: u64, shared: &Arc<Shared>) -> St
             codes::SHUTTING_DOWN,
             "daemon is draining; no new work is admitted",
         ),
-    };
-    shared.inflight.fetch_sub(1, Ordering::SeqCst);
-    response
+    }
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -505,7 +524,6 @@ fn worker_loop(shared: &Arc<Shared>) {
 fn backend_name(backend: SolverBackend) -> &'static str {
     match backend {
         SolverBackend::Simplex => "simplex",
-        SolverBackend::InteriorPoint => "ipm",
         SolverBackend::Revised => "revised",
         SolverBackend::Dp => "dp",
     }

@@ -510,9 +510,15 @@ fn wire_shutdown_is_gated_and_metrics_speak_prometheus() {
     })
     .unwrap();
     let mut c = Client::connect(&server);
-    let resp = c.roundtrip(r#"{"op":"shutdown","id":"bye"}"#);
-    let doc = parse(&resp).unwrap();
+    c.send(r#"{"op":"shutdown","id":"bye"}"#);
+    server.wait(); // returns because the wire op signaled shutdown
+                   // The drain covers the ack itself: it is on the socket by the time
+                   // `wait` returns, so a short read timeout finds it.
+    c.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let doc = parse(&c.recv()).unwrap();
     assert_eq!(field(&doc, "status"), "ok");
     assert_eq!(field(&doc, "id"), "bye");
-    server.wait(); // returns because the wire op signaled shutdown
 }

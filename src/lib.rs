@@ -8,7 +8,7 @@
 //!
 //! * [`obs`] — solve-trace observability: recorders, counters, timers.
 //! * [`geom`] — Manhattan geometry: points, TRRs, octilinear regions.
-//! * [`lp`] — linear programming: simplex and interior-point solvers.
+//! * [`lp`] — linear programming: dense and revised simplex solvers.
 //! * [`par`] — the deterministic work-assisting parallel loop.
 //! * [`topology`] — rooted routing-tree topologies and generators.
 //! * [`delay`] — linear and Elmore delay models.

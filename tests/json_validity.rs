@@ -138,7 +138,6 @@ fn bench_document_report_and_prometheus_expositions_are_strict() {
         label: "json-validity".to_string(),
         threads: 2,
         sizes: vec![5],
-        interior_cap: 5,
         full: false,
         // Exercise the audit_overhead group too: its wall-clock keys land
         // in the exempt half and must keep the document strict.

@@ -117,7 +117,7 @@ proptest! {
         );
     }
 
-    /// The two LP backends agree on the optimal cost.
+    /// The dense and revised simplex backends agree on the optimal cost.
     #[test]
     fn backends_agree_on_random_instances(
         sinks in proptest::collection::vec(
@@ -135,13 +135,13 @@ proptest! {
                 .solve()
         };
         let simplex = mk(lubt::core::SolverBackend::Simplex).expect("feasible");
-        let ipm = mk(lubt::core::SolverBackend::InteriorPoint).expect("feasible");
+        let revised = mk(lubt::core::SolverBackend::Revised).expect("feasible");
         let scale = 1.0 + simplex.cost();
         prop_assert!(
-            (simplex.cost() - ipm.cost()).abs() / scale < 1e-4,
-            "simplex {} vs interior point {}",
+            (simplex.cost() - revised.cost()).abs() / scale < 1e-4,
+            "simplex {} vs revised {}",
             simplex.cost(),
-            ipm.cost()
+            revised.cost()
         );
     }
 
