@@ -753,10 +753,10 @@ fn cmd_profile(parsed: &Parsed) -> Result<(), String> {
     result.map(|_| ()).map_err(|e| render_lubt_error(&e))
 }
 
-/// `lubt bench`: runs the pinned benchmark suite (both LP backends, a
-/// serial and a parallel leg with a built-in determinism cross-check) and
-/// writes the schema-versioned `lubt-bench-v1` document, default
-/// `BENCH_<label>.json`. The document's `"deterministic"` section is
+/// `lubt bench`: runs the pinned benchmark suite (the simplex, revised
+/// and dp backends, a serial and a parallel leg with a built-in
+/// determinism cross-check) and writes the schema-versioned
+/// `lubt-bench-v1` document, default `BENCH_<label>.json`. The document's `"deterministic"` section is
 /// byte-identical across thread counts and machines; wall clock and
 /// machine facts live under `"determinism_exempt"`.
 fn cmd_bench(parsed: &Parsed) -> Result<(), String> {

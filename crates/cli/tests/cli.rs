@@ -509,8 +509,8 @@ fn alternate_topologies_and_backend() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    // The retired interior-point backend is an unknown backend under the
-    // original `--backend` spelling too.
+    // `ipm` is an unknown backend under the original `--backend` spelling
+    // too.
     let out = lubt()
         .args(["solve"])
         .arg(&pts)
