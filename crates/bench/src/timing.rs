@@ -14,7 +14,6 @@ use lubt_core::{
     zero_skew_edge_lengths, DelayBounds, EbfSolver, LubtError, LubtProblem, SolverBackend,
 };
 use lubt_data::Instance;
-use lubt_obs::json::json_f64;
 use lubt_topology::{nearest_neighbor_topology, SourceMode};
 use std::time::Instant;
 
@@ -108,32 +107,10 @@ pub fn to_text(rows: &[TimingRow]) -> String {
     render(&header, &body)
 }
 
-/// Serializes the rows as one strict-JSON array. Every float goes
-/// through the total [`json_f64`] formatter.
-pub fn rows_to_json(rows: &[TimingRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"sinks\": {}, \"simplex_s\": {}, \"revised_s\": {}, \
-                 \"zero_skew_s\": {}, \"steiner_rows\": {}, \"total_pairs\": {}}}",
-                r.sinks,
-                json_f64(r.simplex_s),
-                json_f64(r.revised_s),
-                json_f64(r.zero_skew_s),
-                r.steiner_rows,
-                r.total_pairs
-            )
-        })
-        .collect();
-    format!("[\n{}\n]\n", body.join(",\n"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lubt_data::synthetic;
-    use lubt_obs::json::validate;
 
     #[test]
     fn produces_rows_with_positive_times() {
@@ -147,13 +124,5 @@ mod tests {
         assert!(text.contains("simplex"));
         assert!(text.contains("revised [s]"));
         assert_eq!(text.lines().count(), 4);
-    }
-
-    #[test]
-    fn rows_serialize_to_strict_json() {
-        let rows = run(&synthetic::prim1(), &[6, 10]).unwrap();
-        let doc = rows_to_json(&rows);
-        validate(&doc).unwrap_or_else(|e| panic!("invalid timing JSON: {e}\n{doc}"));
-        assert!(doc.contains("\"revised_s\": "), "{doc}");
     }
 }

@@ -74,6 +74,27 @@ impl Parsed {
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
+
+    /// Rejects every `--key` outside `known`, the whitespace-separated
+    /// keys `lubt <cmd>` reads, so a misspelled or retired flag fails
+    /// loudly instead of being ignored. Names the alphabetically first
+    /// stray key.
+    ///
+    /// # Errors
+    ///
+    /// Returns `unknown flag --<key> for lubt <cmd>`.
+    pub fn check_keys(&self, cmd: &str, known: &str) -> Result<(), String> {
+        let stray = self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .filter(|key| !known.split_whitespace().any(|k| k == key.as_str()))
+            .min();
+        match stray {
+            Some(key) => Err(format!("unknown flag --{key} for lubt {cmd}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -101,6 +122,24 @@ mod tests {
         assert!(p.get_f64("lower").is_err());
         let p = parse(&argv("--sinks 1.5"));
         assert!(p.get_usize("sinks").is_err());
+    }
+
+    #[test]
+    fn keys_outside_the_command_list_are_rejected() {
+        let p = parse(&argv(
+            "solve f.pts --upper 1.4 --absolute --lp-backnd dp --bogus",
+        ));
+        assert!(p
+            .check_keys("solve", "upper absolute lp-backnd bogus")
+            .is_ok());
+        assert_eq!(
+            p.check_keys("solve", "upper absolute"),
+            Err("unknown flag --bogus for lubt solve".to_string())
+        );
+        assert_eq!(
+            p.check_keys("solve", "upper bogus lp-backnd"),
+            Err("unknown flag --absolute for lubt solve".to_string())
+        );
     }
 
     #[test]

@@ -20,10 +20,12 @@ const USAGE: &str = "usage:
 [--metrics-prom [out.prom]] [--profile [out.json]] [--profile-folded [out.txt]] \
 [--trace-event-cap N]
   lubt audit <input> --lower L --upper U [--absolute] \
-[--topology nn|matching|bisect|aware] [--lp-backend simplex|revised|dp] [--json [out.json]]
-  lubt profile <input> --lower L --upper U [--absolute] \
 [--topology nn|matching|bisect|aware] [--lp-backend simplex|revised|dp] \
-[--format chrome|folded|tree|shape] [--out file] | lubt profile --check-folded file
+[--max-lp-iterations N] [--json [out.json]]
+  lubt profile <input> --lower L --upper U [--absolute] \
+[--topology nn|matching|bisect|aware] [--lp-backend simplex|revised|dp] [--threads N] \
+[--max-lp-iterations N] [--trace-event-cap N] [--format chrome|folded|tree|shape] \
+[--out file] | lubt profile --check-folded file
   lubt bench [--label L] [--threads N] [--sizes A,B,C] [--full] [--audit] [--serve] \
 [--profile] [--par-intra] [--out file]
   lubt report --baseline A.json --current B.json [--timing-threshold F] \
@@ -36,7 +38,8 @@ const USAGE: &str = "usage:
   lubt serve [--addr H:P] [--workers N] [--queue-depth N] [--cache-entries N] \
 [--session-entries N] [--max-request-bytes N] [--default-deadline-ms N] [--allow-shutdown] \
 [--trace-event-cap N] [--access-log [path]]
-  lubt help";
+  lubt help
+Unknown flags are rejected; --backend is an alias of --lp-backend.";
 
 /// Entry point shared by `main` and the integration tests.
 ///
@@ -254,6 +257,12 @@ fn choose_topology(
 }
 
 fn cmd_solve(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys(
+        "solve",
+        "lower upper absolute topology lp-backend backend threads \
+         max-lp-iterations audit svg json trace-json profile profile-folded \
+         trace-event-cap",
+    )?;
     let inst = load_instance(parsed)?;
     let radius = inst.radius();
     let m = inst.sinks.len();
@@ -381,6 +390,12 @@ fn cmd_solve(parsed: &Parsed) -> Result<(), String> {
 /// `--threads`, so two runs differing only in thread count print identical
 /// bytes. Exits non-zero when any instance fails.
 fn cmd_batch(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys(
+        "batch",
+        "lower upper absolute topology lp-backend backend threads \
+         max-lp-iterations audit json metrics metrics-prom profile \
+         profile-folded trace-event-cap",
+    )?;
     let inputs = &parsed.positional[1..];
     if inputs.is_empty() {
         return Err(format!("missing <input>...\n{USAGE}"));
@@ -572,6 +587,11 @@ fn cmd_batch(parsed: &Parsed) -> Result<(), String> {
 /// Exits non-zero only when a certificate fails to verify; a *verified*
 /// infeasibility is a successful audit of a negative result.
 fn cmd_audit(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys(
+        "audit",
+        "lower upper absolute topology lp-backend backend max-lp-iterations \
+         json",
+    )?;
     let inst = load_instance(parsed)?;
     let radius = inst.radius();
     let m = inst.sinks.len();
@@ -680,6 +700,11 @@ fn cmd_audit(parsed: &Parsed) -> Result<(), String> {
 /// With `--check-folded file` it instead lints an existing folded
 /// artifact (the CI validity gate) and solves nothing.
 fn cmd_profile(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys(
+        "profile",
+        "lower upper absolute topology lp-backend backend threads \
+         max-lp-iterations trace-event-cap format out check-folded",
+    )?;
     reject_bare(parsed, &["format", "out", "check-folded", "threads"])?;
     if let Some(path) = parsed.get("check-folded") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -760,6 +785,10 @@ fn cmd_profile(parsed: &Parsed) -> Result<(), String> {
 /// byte-identical across thread counts and machines; wall clock and
 /// machine facts live under `"determinism_exempt"`.
 fn cmd_bench(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys(
+        "bench",
+        "label threads sizes full audit serve profile par-intra out",
+    )?;
     reject_bare(parsed, &["label", "threads", "sizes", "out"])?;
     let mut config = lubt_bench::suite::SuiteConfig {
         label: parsed.get("label").unwrap_or("local").to_string(),
@@ -829,6 +858,10 @@ fn cmd_bench(parsed: &Parsed) -> Result<(), String> {
 /// wall-clock totals compare against `--timing-threshold` (default 25%
 /// slack) unless `--ignore-timings`.
 fn cmd_report(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys(
+        "report",
+        "baseline current timing-threshold ignore-timings json",
+    )?;
     reject_bare(parsed, &["baseline", "current", "timing-threshold"])?;
     let baseline_path = parsed
         .get("baseline")
@@ -871,6 +904,7 @@ fn cmd_report(parsed: &Parsed) -> Result<(), String> {
 /// diagnostic (human-readable, or JSON with `--json`), exits non-zero when
 /// any deny-level finding proves the instance unusable.
 fn cmd_lint(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys("lint", "lower upper absolute topology json")?;
     let inst = load_instance(parsed)?;
     let radius = inst.radius();
     let m = inst.sinks.len();
@@ -936,6 +970,12 @@ fn cmd_lint(parsed: &Parsed) -> Result<(), String> {
 /// The listening line is flushed eagerly so scripted harnesses can read
 /// the resolved port even when stdout is a pipe.
 fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys(
+        "serve",
+        "addr workers queue-depth cache-entries session-entries \
+         max-request-bytes default-deadline-ms allow-shutdown trace-event-cap \
+         access-log",
+    )?;
     reject_bare(
         parsed,
         &[
@@ -1006,6 +1046,7 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_zeroskew(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys("zeroskew", "target absolute svg")?;
     let inst = load_instance(parsed)?;
     let radius = inst.radius();
     let absolute = parsed.has("absolute");
@@ -1034,6 +1075,7 @@ fn cmd_zeroskew(parsed: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_bst(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys("bst", "skew absolute")?;
     let inst = load_instance(parsed)?;
     let radius = inst.radius();
     let absolute = parsed.has("absolute");
@@ -1062,6 +1104,7 @@ fn cmd_bst(parsed: &Parsed) -> Result<(), String> {
 }
 
 fn cmd_gen(parsed: &Parsed) -> Result<(), String> {
+    parsed.check_keys("gen", "sinks seed die out")?;
     let kind = parsed
         .positional
         .get(1)

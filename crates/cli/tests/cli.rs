@@ -31,6 +31,48 @@ fn unknown_command_fails() {
 }
 
 #[test]
+fn unknown_flags_fail_instead_of_being_ignored() {
+    let pts = tmp("unknown-flags.pts");
+    let out = lubt()
+        .args(["gen", "uniform", "--sinks", "16", "--seed", "42", "--out"])
+        .arg(&pts)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let window = ["--lower", "0.9", "--upper", "1.4"];
+    // A misspelled backend once solved silently on the default simplex.
+    let cases: [(Vec<&str>, &str); 3] = [
+        (
+            [&window[..], &["--lp-backnd", "dp"]].concat(),
+            "unknown flag --lp-backnd for lubt solve",
+        ),
+        (
+            [&window[..], &["--thread", "4"]].concat(),
+            "unknown flag --thread for lubt solve",
+        ),
+        // A retired flag once still exited 0 after running the suite.
+        (
+            vec!["--interior-cap", "0"],
+            "unknown flag --interior-cap for lubt bench",
+        ),
+    ];
+    for (flags, message) in cases {
+        let mut cmd = lubt();
+        if message.ends_with("bench") {
+            cmd.arg("bench");
+        } else {
+            cmd.arg("solve").arg(&pts);
+        }
+        let out = cmd.args(&flags).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.trim_end(), format!("error: {message}"), "{flags:?}");
+        assert!(out.stdout.is_empty(), "{flags:?}");
+    }
+    let _ = std::fs::remove_file(&pts);
+}
+
+#[test]
 fn gen_solve_roundtrip_with_svg() {
     let pts = tmp("inst.pts");
     let svg = tmp("tree.svg");

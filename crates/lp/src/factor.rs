@@ -33,6 +33,9 @@
 //! or dense depends only on its fill pattern, never on the thread count,
 //! so the representation choice cannot perturb cross-thread bit identity.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::sparse::SparseCol;
 
 /// Pivot tolerance of the Gauss–Jordan factorization.
@@ -268,6 +271,49 @@ impl EtaFile {
             scratch[e.r] = t;
         }
     }
+
+    /// Transforms the column in `scratch` by exactly the etas a full scan
+    /// would not skip, in the same ascending order, without visiting the
+    /// rest: an eta acts only when its pivot row is populated, and a row
+    /// is populated either by the column itself or by the fill of an
+    /// earlier eta. So the heap is seeded with the etas of the column's
+    /// rows and fed, after each applied eta, with the later etas of its
+    /// fresh fill rows. An eta whose row cancelled to exactly `0.0` is
+    /// popped but stays a no-op, as in the scan. `heap` is caller-owned
+    /// scratch, empty on entry and on return. Returns the etas visited.
+    fn ftran_populated(
+        &self,
+        eta_of_row: &[usize],
+        scratch: &mut [f64],
+        touched: &mut Vec<usize>,
+        heap: &mut BinaryHeap<Reverse<usize>>,
+    ) -> u64 {
+        heap.extend(
+            touched
+                .iter()
+                .map(|&i| eta_of_row[i])
+                .filter(|&k| k != usize::MAX)
+                .map(Reverse),
+        );
+        let mut visits = 0;
+        let mut last = usize::MAX;
+        while let Some(Reverse(k)) = heap.pop() {
+            if k == last {
+                continue; // a row refilled after cancelling queues its eta twice
+            }
+            last = k;
+            visits += 1;
+            let fresh = touched.len();
+            self.ftran_fill(k, scratch, touched);
+            for &i in &touched[fresh..] {
+                let later = eta_of_row[i];
+                if later != usize::MAX && later > k {
+                    heap.push(Reverse(later));
+                }
+            }
+        }
+        visits
+    }
 }
 
 /// A post-base update operator.
@@ -298,18 +344,37 @@ pub(crate) struct Factor {
     updates: Vec<Update>,
     /// Pivot etas accumulated since the base was (re)built.
     pivot_etas: usize,
+    /// Etas the base build applied, summed over its columns — the
+    /// `lp.refactor_eta_visits` work counter.
+    build_visits: u64,
 }
 
 impl Factor {
     /// Factorizes the basis given as sparse columns (position order).
     /// Returns `None` when the basis is singular.
     pub fn build<C: AsRef<[(usize, f64)]>>(cols: &[C]) -> Option<Factor> {
+        let mut heap = BinaryHeap::new();
+        Self::eliminate(cols, |file, eta_of_row, scratch, touched| {
+            file.ftran_populated(eta_of_row, scratch, touched, &mut heap)
+        })
+    }
+
+    /// Gauss–Jordan elimination of `cols`; `transform` applies the etas
+    /// recorded so far to the column scattered into `scratch` (rows in
+    /// `touched`) and returns how many it visited. `eta_of_row[r]` is the
+    /// eta that pivoted on row `r` (`usize::MAX` while `r` is unused).
+    fn eliminate<C, T>(cols: &[C], mut transform: T) -> Option<Factor>
+    where
+        C: AsRef<[(usize, f64)]>,
+        T: FnMut(&EtaFile, &[usize], &mut [f64], &mut Vec<usize>) -> u64,
+    {
         let dim = cols.len();
         let mut file = EtaFile::default();
         let mut perm = vec![usize::MAX; dim];
-        let mut row_used = vec![false; dim];
+        let mut eta_of_row = vec![usize::MAX; dim];
         let mut scratch = vec![0.0; dim];
         let mut touched: Vec<usize> = Vec::new();
+        let mut build_visits = 0;
 
         // Singleton columns first (their etas are pure scalings and create
         // no fill), then the structural bump, both in ascending position
@@ -324,18 +389,14 @@ impl Factor {
                 }
                 scratch[i] += v;
             }
-            // Transform by the etas recorded so far. Each eta only acts
-            // when its pivot row is populated; new fill rows are tracked.
-            for k in 0..file.len() {
-                file.ftran_fill(k, &mut scratch, &mut touched);
-            }
+            build_visits += transform(&file, &eta_of_row, &mut scratch, &mut touched);
             // Pivot row: largest |value| among unused rows, smallest row
             // index on ties (order-independent, hence deterministic even
             // though `touched` is unordered).
             let mut pivot: Option<(usize, f64)> = None;
             for &i in &touched {
                 let a = scratch[i].abs();
-                if row_used[i] || a <= FACTOR_TOL {
+                if eta_of_row[i] != usize::MAX || a <= FACTOR_TOL {
                     continue;
                 }
                 let better = match pivot {
@@ -359,7 +420,7 @@ impl Factor {
             }
             touched.clear();
             w.sort_unstable_by_key(|&(i, _)| i);
-            row_used[r] = true;
+            eta_of_row[r] = file.len();
             perm[pos] = r;
             file.push(r, wr, &w);
         }
@@ -373,6 +434,19 @@ impl Factor {
             perm,
             updates: Vec::new(),
             pivot_etas: 0,
+            build_visits,
+        })
+    }
+
+    /// The reference build: every column visits every earlier eta, so a
+    /// build costs `dim (dim - 1) / 2` visits.
+    #[cfg(test)]
+    fn build_full_scan<C: AsRef<[(usize, f64)]>>(cols: &[C]) -> Option<Factor> {
+        Self::eliminate(cols, |file, _, scratch, touched| {
+            for k in 0..file.len() {
+                file.ftran_fill(k, scratch, touched);
+            }
+            file.len() as u64
         })
     }
 
@@ -380,6 +454,11 @@ impl Factor {
     #[cfg(test)]
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// Etas the base build applied (`lp.refactor_eta_visits`).
+    pub fn build_visits(&self) -> u64 {
+        self.build_visits
     }
 
     /// Number of update operators since the last (re)build — the
@@ -686,5 +765,139 @@ mod tests {
             panic!("expected a pivot eta");
         };
         assert!(matches!(f.file.etas[k].body, EtaBody::Dense { .. }));
+    }
+
+    /// A seeded random sparse basis: a permuted diagonal keeps it
+    /// nonsingular in the usual case, a third of the columns stay
+    /// singletons, and small dyadic values make exact cancellation common.
+    /// Two columns fill a contiguous row band so their etas go dense.
+    fn random_basis(seed: u64) -> Vec<SparseCol> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const VALUES: [f64; 6] = [1.0, -1.0, 2.0, -2.0, 0.5, 4.0];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = rng.gen_range(20usize..121);
+        let mut rows: Vec<usize> = (0..dim).collect();
+        for i in (1..dim).rev() {
+            rows.swap(i, rng.gen_range(0..i + 1));
+        }
+        let dense_cols = [rng.gen_range(0..dim), rng.gen_range(0..dim)];
+        (0..dim)
+            .map(|j| {
+                let mut col = vec![(rows[j], VALUES[rng.gen_range(0..VALUES.len())])];
+                if dense_cols.contains(&j) {
+                    let lo = rng.gen_range(0..dim - 18);
+                    col.extend((lo..dim.min(lo + 40)).map(|i| (i, VALUES[i % VALUES.len()])));
+                } else if rng.gen_range(0..3) != 0 {
+                    for _ in 0..rng.gen_range(1usize..5) {
+                        col.push((
+                            rng.gen_range(0..dim),
+                            VALUES[rng.gen_range(0..VALUES.len())],
+                        ));
+                    }
+                }
+                col.sort_by_key(|&(i, _)| i);
+                col.dedup_by_key(|e| e.0);
+                col
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_bit_identical(a: &Factor, b: &Factor) {
+        assert_eq!(a.perm, b.perm);
+        assert_eq!(a.file.rows, b.file.rows);
+        assert_eq!(bits(&a.file.vals), bits(&b.file.vals));
+        assert_eq!(a.file.len(), b.file.len());
+        for (ea, eb) in a.file.etas.iter().zip(&b.file.etas) {
+            assert_eq!(ea.r, eb.r);
+            assert_eq!(ea.wr.to_bits(), eb.wr.to_bits());
+            match (&ea.body, &eb.body) {
+                (
+                    EtaBody::Sparse { start: s1, end: e1 },
+                    EtaBody::Sparse { start: s2, end: e2 },
+                ) => {
+                    assert_eq!((s1, e1), (s2, e2));
+                }
+                (
+                    EtaBody::Dense {
+                        first_block: f1,
+                        blocks: b1,
+                    },
+                    EtaBody::Dense {
+                        first_block: f2,
+                        blocks: b2,
+                    },
+                ) => {
+                    assert_eq!(f1, f2);
+                    let lanes =
+                        |bs: &[F64x8]| bs.iter().flat_map(|b| bits(&b.0)).collect::<Vec<_>>();
+                    assert_eq!(lanes(b1), lanes(b2));
+                }
+                _ => panic!("eta bodies differ in representation"),
+            }
+        }
+    }
+
+    #[test]
+    fn populated_eta_build_matches_the_full_scan_bit_for_bit() {
+        let (mut dense_etas, mut cancelled, mut built) = (0, 0, 0);
+        for seed in 0..40 {
+            let cols = random_basis(seed);
+            let dim = cols.len();
+            let heap = Factor::build(&cols);
+            let full = Factor::build_full_scan(&cols);
+            assert_eq!(heap.is_some(), full.is_some(), "seed {seed}");
+            let (Some(heap), Some(full)) = (heap, full) else {
+                continue;
+            };
+            built += 1;
+            assert_bit_identical(&heap, &full);
+            assert_eq!(full.build_visits(), (dim * (dim - 1) / 2) as u64);
+
+            // Etas the scan really applies (pivot row populated on arrival).
+            // The heap visits each of them, plus the ones whose row
+            // cancelled to an exact zero after it was queued.
+            let acting = Factor::eliminate(&cols, |file, _, scratch, touched| {
+                let mut n = 0;
+                for k in 0..file.len() {
+                    n += u64::from(scratch[file.etas[k].r] != 0.0);
+                    file.ftran_fill(k, scratch, touched);
+                }
+                n
+            })
+            .unwrap()
+            .build_visits();
+            assert!(heap.build_visits() >= acting, "seed {seed}");
+            assert!(heap.build_visits() < full.build_visits(), "seed {seed}");
+            cancelled += heap.build_visits() - acting;
+            dense_etas += heap
+                .file
+                .etas
+                .iter()
+                .filter(|e| matches!(e.body, EtaBody::Dense { .. }))
+                .count();
+
+            let mut scratch = Vec::new();
+            for probe in 0..3 {
+                let v0: Vec<f64> = (0..dim).map(|i| noise(i * 7 + probe) - 4.0).collect();
+                let (mut x, mut y) = (v0.clone(), v0.clone());
+                heap.ftran(&mut x, &mut scratch);
+                full.ftran(&mut y, &mut scratch);
+                assert_eq!(bits(&x), bits(&y), "ftran, seed {seed}");
+                let (mut x, mut y) = (v0.clone(), v0);
+                heap.btran(&mut x, &mut scratch);
+                full.btran(&mut y, &mut scratch);
+                assert_eq!(bits(&x), bits(&y), "btran, seed {seed}");
+            }
+        }
+        assert!(
+            built >= 30,
+            "only {built} of 40 random bases were nonsingular"
+        );
+        assert!(dense_etas > 0, "no dense-body eta was exercised");
+        assert!(cancelled > 0, "no exact cancellation was exercised");
     }
 }

@@ -7,20 +7,24 @@
 //! partial-pricing scan of candidate columns (`d_j = c_j - y·a_j` via
 //! sparse dots), one FTRAN (`w = B^{-1} a_q`), the ratio test, and a
 //! product-form eta update — `O(nnz)` work where the dense tableau pivot
-//! pays `O(m · n)`. Pricing uses a cyclic candidate window with a
-//! most-negative rule and smallest-index tie-break, falling back to
-//! Bland's rule after a degenerate stall; every choice is a deterministic
-//! function of the pivot history, so solves are bit-identical across
-//! machines. Every scan runs serially on the calling thread: at the
-//! paper's net sizes a pivot prices a few hundred columns, too little
-//! work to split across cores.
+//! pays `O(m · n)`. A dual pivot's one BTRAN is the pivot row `rho`: the
+//! dual loop keeps `y` by the rank-one update `y += (d_q / α_q) · rho`
+//! and re-derives it by BTRAN only after a refactorization. Pricing uses
+//! a cyclic candidate window with a most-negative rule and smallest-index
+//! tie-break, falling back to Bland's rule after a degenerate stall;
+//! every choice is a deterministic function of the pivot history, so
+//! solves are bit-identical across machines. Every scan runs serially on
+//! the calling thread: at the paper's net sizes a pivot prices a few
+//! hundred columns, too little work to split across cores.
 //!
 //! Counters (routed through the solver's [`Recorder`]): `lp.pivots`,
 //! `lp.dual_pivots`, `lp.priced_columns`, `lp.refactorizations`,
-//! `lp.eta_len` (high-water update-list length), `lp.solves`,
-//! `lp.resolves`, `lp.peak_pivots`, and the `lp.limit_fraction` gauge —
-//! deliberately disjoint from the dense backend's `simplex.*` keys so
-//! bench documents can hold both without aliasing.
+//! `lp.refactor_eta_visits` (etas those refactorizations applied),
+//! `lp.btrans` (every BTRAN), `lp.eta_len` (high-water update-list
+//! length), `lp.solves`, `lp.resolves`, `lp.peak_pivots`, and the
+//! `lp.limit_fraction` gauge — deliberately disjoint from the dense
+//! backend's `simplex.*` keys so bench documents can hold both without
+//! aliasing.
 
 // Index-based loops are the natural idiom for the dense work vectors here.
 #![allow(clippy::needless_range_loop)]
@@ -181,6 +185,7 @@ impl RevisedSolver {
         // back to a cold solve, like the dense path.
         let dual_tol = 1e-7 * (1.0 + kernel.sf.c.iter().fold(0.0f64, |a, &c| a.max(c.abs())));
         let y = kernel.duals(false);
+        kernel.flush_btrans(&*self.recorder);
         for j in 0..kernel.sf.n {
             if kernel.cost(j, false) - kernel.dot_col(j, &y) < -dual_tol {
                 return Ok(None);
@@ -204,7 +209,7 @@ impl RevisedSolver {
             }
             ReoptOutcome::Optimal => {}
         }
-        let (x, objective, duals) = kernel.extract(model);
+        let (x, objective, duals) = kernel.extract(model, &*self.recorder);
         let next = WarmStart {
             basis: kernel.basis.clone(),
             num_vars: model.num_vars(),
@@ -341,7 +346,7 @@ impl RevisedSolver {
                 ))
             }
             PhaseOutcome::Optimal => {
-                let (x, objective, duals) = kernel.extract(model);
+                let (x, objective, duals) = kernel.extract(model, rec);
                 let warm = kernel
                     .basis
                     .iter()
@@ -397,6 +402,21 @@ struct Kernel {
     x_b: Vec<f64>,
     cursor: usize,
     scratch: Vec<f64>,
+    /// BTRANs run since the last [`Kernel::flush_btrans`] (`lp.btrans`).
+    btrans: u64,
+    #[cfg(test)]
+    dual_probe: DualProbe,
+}
+
+/// Test-only record of the dual loop's multipliers: how far each updated
+/// `y` lies from a fresh BTRAN, and how often a refactorization forced
+/// one.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct DualProbe {
+    /// `‖y - y_fresh‖∞ / max(1, ‖y_fresh‖∞)` after each updated pivot.
+    drift: Vec<f64>,
+    refreshes: usize,
 }
 
 impl Kernel {
@@ -420,6 +440,9 @@ impl Kernel {
             x_b: Vec::new(),
             cursor: 0,
             scratch: Vec::new(),
+            btrans: 0,
+            #[cfg(test)]
+            dual_probe: DualProbe::default(),
         };
         kernel.rebuild_factor().ok()?;
         Some(kernel)
@@ -480,14 +503,38 @@ impl Kernel {
         }
     }
 
+    /// `v <- B^{-T} v`, counted in `lp.btrans`: every BTRAN the kernel
+    /// runs goes through here.
+    fn btran(&mut self, v: &mut [f64]) {
+        self.factor.btran(v, &mut self.scratch);
+        self.btrans += 1;
+    }
+
+    /// Emits the BTRANs counted since the last flush.
+    fn flush_btrans(&mut self, rec: &dyn Recorder) {
+        let n = std::mem::take(&mut self.btrans);
+        if n > 0 && rec.enabled() {
+            rec.incr("lp.btrans", n);
+        }
+    }
+
     /// Simplex multipliers `y = B^{-T} c_B` under the phase costs.
     fn duals(&mut self, phase1: bool) -> Vec<f64> {
         let mut y = vec![0.0; self.sf.m];
         for (pos, &j) in self.basis.iter().enumerate() {
             y[pos] = self.cost(j, phase1);
         }
-        self.factor.btran(&mut y, &mut self.scratch);
+        self.btran(&mut y);
         y
+    }
+
+    /// Row `pos` of `B^{-1}`: the BTRAN of `e_pos`, so that `rho · a_j` is
+    /// row `pos` of `B^{-1} A`.
+    fn inverse_row(&mut self, pos: usize) -> Vec<f64> {
+        let mut rho = vec![0.0; self.sf.m];
+        rho[pos] = 1.0;
+        self.btran(&mut rho);
+        rho
     }
 
     /// Rebuilds the factorization from the current basis columns and
@@ -515,13 +562,14 @@ impl Kernel {
 
     /// Executes the basis change `basis[pos] <- enter` given the entering
     /// column's ftran image `w`, refactorizing when the eta file is long.
+    /// Returns whether it refactorized.
     fn pivot(
         &mut self,
         pos: usize,
         enter: usize,
         w: &[f64],
         rec: &dyn Recorder,
-    ) -> Result<(), LpError> {
+    ) -> Result<bool, LpError> {
         let profiling = rec.enabled();
         let t0 = profiling.then(std::time::Instant::now);
         let t = self.x_b[pos] / w[pos];
@@ -543,15 +591,17 @@ impl Kernel {
             rec.record_max("lp.eta_len", self.factor.eta_len() as u64);
             rec.span_record("eta_apply", 1, elapsed_ns(t0));
         }
-        if self.factor.needs_refactor() {
-            let t1 = profiling.then(std::time::Instant::now);
-            self.rebuild_factor()?;
-            if let Some(t1) = t1 {
-                rec.incr("lp.refactorizations", 1);
-                rec.span_record("refactor", 1, elapsed_ns(t1));
-            }
+        if !self.factor.needs_refactor() {
+            return Ok(false);
         }
-        Ok(())
+        let t1 = profiling.then(std::time::Instant::now);
+        self.rebuild_factor()?;
+        if let Some(t1) = t1 {
+            rec.incr("lp.refactorizations", 1);
+            rec.incr("lp.refactor_eta_visits", self.factor.build_visits());
+            rec.span_record("refactor", 1, elapsed_ns(t1));
+        }
+        Ok(true)
     }
 
     /// Entering column under partial pricing (or Bland's rule), pricing
@@ -733,6 +783,7 @@ impl Kernel {
             // hit count is already carried by `pivot`'s per-pivot record.
             rec.span_record("eta_apply", 0, ftran_ns);
         }
+        self.flush_btrans(rec);
         out
     }
 
@@ -757,6 +808,9 @@ impl Kernel {
             };
             let mut bland = false;
             let mut stall = 0usize;
+            // Simplex multipliers, derived by BTRAN when first needed and
+            // after each refactorization, rank-one updated in between.
+            let mut y: Option<Vec<f64>> = None;
             loop {
                 if *iters >= max_iterations {
                     return Err(LpError::IterationLimit {
@@ -790,14 +844,11 @@ impl Kernel {
                 // Row pos of B^{-1}A via one BTRAN of e_pos, then the dual
                 // ratio test over negative entries. The BTRAN plus the
                 // reduced-cost scan is the dual analogue of pricing.
-                let cands = pricing.time(profiling, || {
-                    let mut rho = vec![0.0; self.sf.m];
-                    rho[pos] = 1.0;
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    self.factor.btran(&mut rho, &mut scratch);
-                    self.scratch = scratch;
-                    let y = self.duals(false);
-                    self.dual_candidates(&rho, &y)
+                let (rho, cands) = pricing.time(profiling, || {
+                    let rho = self.inverse_row(pos);
+                    let y = y.get_or_insert_with(|| self.duals(false));
+                    let cands = self.dual_candidates(&rho, y);
+                    (rho, cands)
                 });
                 let tr = profiling.then(std::time::Instant::now);
                 let enter = if bland {
@@ -813,32 +864,32 @@ impl Kernel {
                             best = Some((j, ratio));
                         }
                     }
-                    best.map(|(j, _)| j)
+                    best
                 } else {
                     // Two-pass test mirroring `choose_leaving`: largest
                     // magnitude among ratios within `RATIO_TOL` of the
                     // minimum, smallest column on exact ties.
                     let theta = cands.iter().fold(f64::INFINITY, |t, c| t.min(c.2));
                     let cutoff = theta + RATIO_TOL * (1.0 + theta.abs());
-                    let mut best: Option<(usize, f64)> = None;
+                    let mut best: Option<(usize, f64, f64)> = None;
                     for &(j, a, ratio) in &cands {
                         if ratio <= cutoff {
                             let better = match best {
                                 None => true,
-                                Some((ej, ea)) => a < ea || (a == ea && j < ej),
+                                Some((ej, ea, _)) => a < ea || (a == ea && j < ej),
                             };
                             if better {
-                                best = Some((j, a));
+                                best = Some((j, a, ratio));
                             }
                         }
                     }
-                    best.map(|(j, _)| j)
+                    best.map(|(j, _, ratio)| (j, ratio))
                 };
                 if let Some(tr) = tr {
                     ratio.hits += 1;
                     ratio.ns = ratio.ns.saturating_add(elapsed_ns(tr));
                 }
-                let Some(enter) = enter else {
+                let Some((enter, ratio_q)) = enter else {
                     // Row reads `(non-negative combination) = negative`:
                     // empty feasible region.
                     return Ok(DualOutcome::Infeasible { row: pos });
@@ -851,7 +902,23 @@ impl Kernel {
                 if let Some(tf) = tf {
                     ftran_ns = ftran_ns.saturating_add(elapsed_ns(tf));
                 }
-                self.pivot(pos, enter, &w, rec)?;
+                if self.pivot(pos, enter, &w, rec)? {
+                    y = None;
+                    #[cfg(test)]
+                    {
+                        self.dual_probe.refreshes += 1;
+                    }
+                } else if let Some(y) = y.as_mut() {
+                    // Zero the entering reduced cost: y += (d_q / α_q)·rho,
+                    // and d_q / α_q is minus the candidate's ratio d_q / -α_q.
+                    for (yi, &ri) in y.iter_mut().zip(&rho) {
+                        if ri != 0.0 {
+                            *yi -= ratio_q * ri;
+                        }
+                    }
+                    #[cfg(test)]
+                    self.probe_dual_drift(y);
+                }
                 *iters += 1;
                 stall += 1;
                 if stall > 1_000 && !bland {
@@ -870,7 +937,23 @@ impl Kernel {
             rec.span_record("ratio_test", ratio.hits, ratio.ns);
             rec.span_record("eta_apply", 0, ftran_ns);
         }
+        self.flush_btrans(rec);
         out
+    }
+
+    /// Records how far the updated multipliers `y` lie from a fresh
+    /// BTRAN, bypassing [`Kernel::btran`] so the probe adds no
+    /// `lp.btrans`.
+    #[cfg(test)]
+    fn probe_dual_drift(&mut self, y: &[f64]) {
+        let mut fresh: Vec<f64> = self.basis.iter().map(|&j| self.cost(j, false)).collect();
+        self.factor.btran(&mut fresh, &mut self.scratch);
+        let norm = fresh.iter().fold(1.0f64, |a, v| a.max(v.abs()));
+        let gap = y
+            .iter()
+            .zip(&fresh)
+            .fold(0.0f64, |a, (u, v)| a.max((u - v).abs()));
+        self.dual_probe.drift.push(gap / norm);
     }
 
     /// Dual repair followed by a primal clean-up — the warm/incremental
@@ -923,11 +1006,7 @@ impl Kernel {
             if self.basis[pos] < self.sf.n {
                 continue;
             }
-            let mut rho = vec![0.0; self.sf.m];
-            rho[pos] = 1.0;
-            let mut scratch = std::mem::take(&mut self.scratch);
-            self.factor.btran(&mut rho, &mut scratch);
-            self.scratch = scratch;
+            let rho = self.inverse_row(pos);
             let replacement =
                 (0..self.sf.n).find(|&j| self.enterable(j) && self.dot_col(j, &rho).abs() > 1e-7);
             if let Some(j) = replacement {
@@ -942,7 +1021,7 @@ impl Kernel {
     }
 
     /// Recovers the original-space solution, objective, and duals.
-    fn extract(&mut self, model: &Model) -> (Vec<f64>, f64, Option<Vec<f64>>) {
+    fn extract(&mut self, model: &Model, rec: &dyn Recorder) -> (Vec<f64>, f64, Option<Vec<f64>>) {
         let mut x_std = vec![0.0; self.sf.n];
         for (pos, &j) in self.basis.iter().enumerate() {
             if j < self.sf.n {
@@ -952,6 +1031,7 @@ impl Kernel {
         let x = self.sf.recover(&x_std);
         let objective = model.objective_value(&x);
         let y = self.duals(false);
+        self.flush_btrans(rec);
         let duals = Some(self.sf.recover_duals(&y));
         (x, objective, duals)
     }
@@ -1502,6 +1582,87 @@ mod tests {
         let t = rec.snapshot();
         assert!(t.counter("lp.priced_columns") > 0, "{t:?}");
         assert!(t.maximum("lp.eta_len") > 0, "{t:?}");
+    }
+
+    /// A cold-started session plus one batch of appended covering rows,
+    /// every one violated at the seed optimum, so the resolve runs a long
+    /// dual phase: enough dual pivots to refactorize inside `dual` more
+    /// than once.
+    fn dual_heavy_session(rec: Arc<lubt_obs::TraceRecorder>) -> (RevisedSession, Model) {
+        let n = 160;
+        let mut base = Model::new();
+        let vars: Vec<Var> = (0..n)
+            .map(|j| base.add_var(0.0, 1.0 + (j * 7 % 11) as f64 * 0.125))
+            .collect();
+        base.add_constraint(
+            LinExpr::from_terms(vars.iter().map(|&v| (v, 1.0))),
+            Cmp::Ge,
+            4.0 * n as f64,
+        );
+        let mut session =
+            RevisedSession::start_with(base.clone(), RevisedSolver::new().with_recorder(rec))
+                .unwrap();
+        for k in 0..3 * n {
+            let (a, b, c) = (k % n, (k * 17 + 5) % n, (k * 31 + 11) % n);
+            let e = LinExpr::from_terms([(vars[a], 1.0), (vars[b], 2.0), (vars[c], 1.0)]);
+            let rhs = 3.0 + (k % 13) as f64 * 0.5;
+            base.add_constraint(e.clone(), Cmp::Ge, rhs);
+            session.add_constraint(e, Cmp::Ge, rhs).unwrap();
+        }
+        (session, base)
+    }
+
+    #[test]
+    fn dual_pivots_keep_the_multipliers_by_rank_one_updates() {
+        let rec = Arc::new(lubt_obs::TraceRecorder::new());
+        let (mut session, base) = dual_heavy_session(rec.clone());
+        let inc = session.resolve().unwrap().clone();
+        let cold = SimplexSolver::new().solve(&base).unwrap();
+        assert_eq!(inc.status(), cold.status());
+        assert!(
+            (inc.objective() - cold.objective()).abs() < 1e-6 * (1.0 + cold.objective().abs()),
+            "incremental {} vs dense cold {}",
+            inc.objective(),
+            cold.objective()
+        );
+        let probe = &session.kernel.as_ref().unwrap().dual_probe;
+        assert!(probe.refreshes >= 2, "{probe:?}");
+        // Every dual pivot either refactorized (and re-derived y) or was
+        // checked against a fresh BTRAN.
+        let t = rec.snapshot();
+        assert_eq!(
+            (probe.drift.len() + probe.refreshes) as u64,
+            t.counter("lp.dual_pivots")
+        );
+        for (k, &d) in probe.drift.iter().enumerate() {
+            assert!(d <= 1e-9, "dual pivot {k}: updated y drifted {d:e}");
+        }
+    }
+
+    #[test]
+    fn dual_pivots_cost_one_btran_each() {
+        let rec = Arc::new(lubt_obs::TraceRecorder::new());
+        let (mut session, _) = dual_heavy_session(rec.clone());
+        session.resolve().unwrap();
+        let t = rec.snapshot();
+        let pivots = t.counter("lp.pivots") + t.counter("lp.dual_pivots");
+        // Beyond one BTRAN per pivot (y in primal pricing, rho in dual
+        // pricing): a cold solve adds one for each phase's final pricing
+        // and one for `extract` (its artificial was pivoted out, so the
+        // drive-out pass adds none); a resolve adds the dual's first `y`
+        // and the primal's final pricing; a refactorization adds at most
+        // one `y` refresh.
+        let allowance = 3 * t.counter("lp.solves")
+            + 2 * t.counter("lp.resolves")
+            + t.counter("lp.refactorizations");
+        let btrans = t.counter("lp.btrans");
+        assert!(t.counter("lp.dual_pivots") > 2 * allowance, "{t:?}");
+        assert!(
+            (pivots..=pivots + allowance).contains(&btrans),
+            "lp.btrans {btrans} outside [{pivots}, {}]",
+            pivots + allowance
+        );
+        assert!(t.counter("lp.refactor_eta_visits") > 0, "{t:?}");
     }
 
     #[test]
