@@ -9,8 +9,9 @@
 //!   Exact infeasibility/unboundedness certificates; the default choice.
 //! * [`RevisedSolver`] — a sparse revised simplex sharing the dense
 //!   backend's pivot rules and [`WarmStart`] token format, but storing the
-//!   constraint matrix column-sparse and keeping only a product-form basis
-//!   factorization; the fast path for large Steiner-row LPs.
+//!   constraint matrix column-sparse and keeping only a basis
+//!   factorization (a Markowitz sparse LU plus product-form updates); the
+//!   fast path for large Steiner-row LPs.
 //!
 //! Problems are described with the [`Model`] builder and solved through the
 //! [`LpSolve`] trait.

@@ -152,14 +152,16 @@ fn a_full_queue_rejects_fast_instead_of_buffering() {
     let server = Server::start(config).unwrap();
     let addr = server.addr();
     // Occupy the single worker with a batch big enough to outlast the
-    // probes below by a wide margin (debug builds solve these slowly).
+    // probes below by a wide margin: debug builds solve these slowly,
+    // release builds need four times as many.
+    let batch = if cfg!(debug_assertions) { 12 } else { 48 };
     let occupier = std::thread::spawn(move || {
         let stream = TcpStream::connect(addr).unwrap();
         let mut c = Client {
             reader: BufReader::new(stream.try_clone().unwrap()),
             writer: stream,
         };
-        let instances: Vec<String> = (0..12)
+        let instances: Vec<String> = (0..batch)
             .map(|k| grid_instance(&format!("occ{k}"), 110))
             .collect();
         let resp = c.roundtrip(&format!(
