@@ -59,7 +59,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::sparse::SparseCol;
+use crate::sparse::{Lines, SparseCol};
 
 /// Absolute pivot tolerance of the factorization: an entry this small
 /// never pivots.
@@ -274,73 +274,6 @@ impl EtaFile {
             } => s -= dense_dot(v, *first_block, blocks),
         }
         v[e.r] = s / e.wr;
-    }
-}
-
-/// Numbered lists of `(index, value)` entries in one structure-of-arrays
-/// stream: line `k` is `idx[start[k]..start[k + 1]]` with the matching
-/// `val` range.
-#[derive(Debug, Clone)]
-struct Lines {
-    start: Vec<u32>,
-    idx: Vec<u32>,
-    val: Vec<f64>,
-}
-
-impl Default for Lines {
-    fn default() -> Self {
-        Lines {
-            start: vec![0],
-            idx: Vec::new(),
-            val: Vec::new(),
-        }
-    }
-}
-
-impl Lines {
-    #[inline]
-    fn line(&self, k: usize) -> (&[u32], &[f64]) {
-        let (a, b) = (self.start[k] as usize, self.start[k + 1] as usize);
-        (&self.idx[a..b], &self.val[a..b])
-    }
-
-    fn push_line(&mut self, entries: &[(u32, f64)]) {
-        for &(i, v) in entries {
-            self.idx.push(i);
-            self.val.push(v);
-        }
-        self.start.push(self.idx.len() as u32);
-    }
-
-    fn nnz(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// The transpose: entry `(i, v)` of line `k` becomes entry
-    /// `(label[k], v)` of line `group[i]`, for `n` lines. Each line of
-    /// the result lists its entries by ascending source line.
-    fn transpose(&self, group: &[u32], label: &[u32], n: usize) -> Lines {
-        let mut start = vec![0u32; n + 1];
-        for &i in &self.idx {
-            start[group[i as usize] as usize + 1] += 1;
-        }
-        for g in 0..n {
-            start[g + 1] += start[g];
-        }
-        let mut fill: Vec<u32> = start[..n].to_vec();
-        let mut idx = vec![0u32; self.idx.len()];
-        let mut val = vec![0.0; self.val.len()];
-        for (k, &to) in label.iter().enumerate() {
-            let (is, vs) = self.line(k);
-            for (&i, &v) in is.iter().zip(vs) {
-                let g = group[i as usize] as usize;
-                let at = fill[g] as usize;
-                idx[at] = to;
-                val[at] = v;
-                fill[g] += 1;
-            }
-        }
-        Lines { start, idx, val }
     }
 }
 
