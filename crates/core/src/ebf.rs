@@ -1,7 +1,7 @@
 //! EBF assembly and solving (§4): objective, delay rows, Steiner rows, and
 //! the lazy-separation loop that implements the §4.6 constraint reduction.
 
-use crate::steiner::{all_pair_constraints, seed_pairs, SinkPair};
+use crate::steiner::{all_pair_constraints, seed_pairs, Separation, SinkPair};
 use crate::{LubtError, LubtProblem};
 use lubt_lp::{Cmp, LinExpr, LpSolve, Model, RevisedSolver, SimplexSolver, Status, Var};
 use lubt_obs::{Recorder, SolveTrace, SpanGuard, TraceRecorder};
@@ -513,19 +513,18 @@ impl EbfSolver {
         // residual violation mass (sum of all current violations — how far
         // from Steiner-feasible the incumbent lengths are), and a bounded
         // per-round event line.
-        let note_round = |rounds: usize, violated: &[(SinkPair, f64)]| {
+        let note_round = |rounds: usize, sep: &Separation| {
             if !rec.enabled() {
                 return;
             }
             rec.incr("ebf.rounds", 1);
-            rec.record_max("ebf.peak_violations", violated.len() as u64);
-            let mass: f64 = violated.iter().map(|(_, v)| v).sum();
-            rec.gauge("ebf.residual_violation_mass", mass);
+            rec.record_max("ebf.peak_violations", sep.violated as u64);
+            rec.gauge("ebf.residual_violation_mass", sep.mass);
             rec.event(
                 "ebf.round",
                 &format!(
-                    "round {rounds}: {} violated pair(s), residual mass {mass:.6}",
-                    violated.len()
+                    "round {rounds}: {} violated pair(s), residual mass {:.6}",
+                    sep.violated, sep.mass
                 ),
             );
         };
@@ -629,19 +628,20 @@ impl EbfSolver {
                         }
                     }
                     rounds += 1;
-                    let violated = {
+                    let separation = {
                         let _span = SpanGuard::enter(rec, "separate");
                         crate::steiner::violated_pairs_cached(
                             problem,
                             &lengths,
                             self.violation_tol,
                             self.threads,
+                            batch,
                             &mut sep_cache,
                             rec,
                         )
                     };
-                    note_round(rounds, &violated);
-                    if violated.is_empty() {
+                    note_round(rounds, &separation);
+                    if separation.violated == 0 {
                         // Converged: the warm-started session's final basis
                         // is the one the certificate describes — audit it
                         // before returning the lengths.
@@ -679,7 +679,7 @@ impl EbfSolver {
                         }
                         all_pair_constraints(problem)
                     } else {
-                        violated.into_iter().take(batch).map(|(p, _)| p).collect()
+                        separation.top.into_iter().map(|(p, _)| p).collect()
                     };
                     for pair in cuts {
                         session.add_constraint(steiner_expr(&pair), Cmp::Ge, pair.dist)?;
