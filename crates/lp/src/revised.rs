@@ -1280,11 +1280,10 @@ impl RevisedSession {
                 value: rhs,
             });
         }
-        let shift = self
-            .kernel
-            .as_ref()
-            .map(|k| k.sf.shift.clone())
-            .unwrap_or_else(|| self.model.lower.clone());
+        let shift: &[f64] = match &self.kernel {
+            Some(k) => &k.sf.shift,
+            None => &self.model.lower,
+        };
         let mut combined: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
         let mut shifted_rhs = rhs;
         for &(v, c) in expr.terms() {
