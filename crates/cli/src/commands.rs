@@ -39,7 +39,7 @@ const USAGE: &str = "usage:
 [--session-entries N] [--max-request-bytes N] [--default-deadline-ms N] [--allow-shutdown] \
 [--trace-event-cap N] [--access-log [path]]
   lubt help
-Unknown flags are rejected; --backend is an alias of --lp-backend.";
+Unknown flags are rejected; --backend is an alias of --lp-backend, which defaults to revised.";
 
 /// Entry point shared by `main` and the integration tests.
 ///
@@ -216,18 +216,16 @@ fn write_svg(parsed: &Parsed, svg: &str) -> Result<(), String> {
 }
 
 /// Resolves the LP backend from `--lp-backend` (or its original spelling
-/// `--backend`; `--lp-backend` wins when both appear). Shared by `solve`
-/// and `batch`.
+/// `--backend`; `--lp-backend` wins when both appear), falling back to
+/// [`SolverBackend::default`]. Shared by `solve`, `batch`, `audit` and
+/// `profile`.
 fn choose_backend(parsed: &Parsed) -> Result<SolverBackend, String> {
-    match parsed
-        .get("lp-backend")
-        .or_else(|| parsed.get("backend"))
-        .unwrap_or("simplex")
-    {
-        "simplex" => Ok(SolverBackend::Simplex),
-        "revised" => Ok(SolverBackend::Revised),
-        "dp" => Ok(SolverBackend::Dp),
-        other => Err(format!("unknown backend {other:?} (simplex|revised|dp)")),
+    match parsed.get("lp-backend").or_else(|| parsed.get("backend")) {
+        None => Ok(SolverBackend::default()),
+        Some("simplex") => Ok(SolverBackend::Simplex),
+        Some("revised") => Ok(SolverBackend::Revised),
+        Some("dp") => Ok(SolverBackend::Dp),
+        Some(other) => Err(format!("unknown backend {other:?} (simplex|revised|dp)")),
     }
 }
 

@@ -13,6 +13,10 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
+/// The two float backends as `--lp-backend` names, each with the prefix
+/// of its LP counters.
+const FLOAT_BACKENDS: [(&str, &str); 2] = [("simplex", "simplex"), ("revised", "lp")];
+
 #[test]
 fn help_prints_usage() {
     let out = lubt().arg("help").output().unwrap();
@@ -372,53 +376,60 @@ fn solve_trace_json_is_valid_and_reports_the_solve() {
         .unwrap();
     assert!(out.status.success());
 
-    // `--trace-json out.json` writes the trace to a file.
-    let trace_path = tmp("trace1.json");
-    let out = lubt()
-        .args(["solve"])
-        .arg(&pts)
-        .args(["--lower", "0.9", "--upper", "1.4", "--trace-json"])
-        .arg(&trace_path)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("tree cost"));
-    assert!(text.contains("trace written to"), "stdout: {text}");
-    let trace = std::fs::read_to_string(&trace_path).unwrap();
-    lubt_obs::json::validate(&trace).expect("trace JSON must be strictly valid");
-    for key in [
-        "\"schema\": \"lubt-trace-v1\"",
-        "simplex.pivots",
-        "ebf.rounds",
-        "embed.fr_constructions",
-        "time.lp",
-    ] {
-        assert!(trace.contains(key), "trace missing {key}: {trace}");
+    for (backend, ns) in FLOAT_BACKENDS {
+        // `--trace-json out.json` writes the trace to a file.
+        let trace_path = tmp(&format!("trace1-{backend}.json"));
+        let out = lubt()
+            .args(["solve"])
+            .arg(&pts)
+            .args(["--lower", "0.9", "--upper", "1.4", "--lp-backend", backend])
+            .args(["--trace-json"])
+            .arg(&trace_path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{backend}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("tree cost"), "{backend}: {text}");
+        assert!(text.contains("trace written to"), "{backend}: {text}");
+        let trace = std::fs::read_to_string(&trace_path).unwrap();
+        lubt_obs::json::validate(&trace).expect("trace JSON must be strictly valid");
+        for key in [
+            "\"schema\": \"lubt-trace-v1\"",
+            &format!("{ns}.pivots"),
+            "ebf.rounds",
+            "embed.fr_constructions",
+            "time.lp",
+        ] {
+            assert!(
+                trace.contains(key),
+                "{backend}: trace missing {key}: {trace}"
+            );
+        }
+
+        // A bare `--trace-json` prints the trace to stdout after the report.
+        let out = lubt()
+            .args(["solve"])
+            .arg(&pts)
+            .args(["--lower", "0.9", "--upper", "1.4", "--lp-backend", backend])
+            .args(["--trace-json"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{backend}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        let json_start = text.find("{\n").expect("trace JSON on stdout");
+        lubt_obs::json::validate(&text[json_start..]).expect("stdout trace must be strictly valid");
+        let _ = std::fs::remove_file(&trace_path);
     }
 
-    // A bare `--trace-json` prints the trace to stdout after the report.
-    let out = lubt()
-        .args(["solve"])
-        .arg(&pts)
-        .args(["--lower", "0.9", "--upper", "1.4", "--trace-json"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    let json_start = text.find("{\n").expect("trace JSON on stdout");
-    lubt_obs::json::validate(&text[json_start..]).expect("stdout trace must be strictly valid");
-
     let _ = std::fs::remove_file(&pts);
-    let _ = std::fs::remove_file(&trace_path);
 }
 
 #[test]
@@ -432,32 +443,27 @@ fn solve_iteration_limit_fails_with_diagnostic_but_still_writes_the_trace() {
     assert!(out.status.success());
 
     let trace_path = tmp("limit1.json");
-    let out = lubt()
-        .args(["solve"])
-        .arg(&pts)
-        .args([
-            "--lower",
-            "0.9",
-            "--upper",
-            "1.4",
-            "--max-lp-iterations",
-            "2",
-        ])
-        .args(["--trace-json"])
-        .arg(&trace_path)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("iteration limit 2"), "stderr: {err}");
-    assert!(err.contains("error[iteration-limit]"), "stderr: {err}");
-    // The trace survives the failed solve and records the exhaustion.
-    let trace = std::fs::read_to_string(&trace_path).unwrap();
-    lubt_obs::json::validate(&trace).expect("failure trace must be strictly valid");
-    assert!(
-        trace.contains("simplex.iteration_limit_hits"),
-        "trace: {trace}"
-    );
+    for (backend, ns) in FLOAT_BACKENDS {
+        let out = lubt()
+            .args(["solve"])
+            .arg(&pts)
+            .args(["--lower", "0.9", "--upper", "1.4", "--lp-backend", backend])
+            .args(["--max-lp-iterations", "2", "--trace-json"])
+            .arg(&trace_path)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{backend}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("iteration limit 2"), "{backend}: {err}");
+        assert!(err.contains("error[iteration-limit]"), "{backend}: {err}");
+        // The trace survives the failed solve and records the exhaustion.
+        let trace = std::fs::read_to_string(&trace_path).unwrap();
+        lubt_obs::json::validate(&trace).expect("failure trace must be strictly valid");
+        assert!(
+            trace.contains(&format!("{ns}.iteration_limit_hits")),
+            "{backend}: {trace}"
+        );
+    }
 
     // A bare `--max-lp-iterations` is rejected, not silently ignored.
     let out = lubt()
@@ -480,52 +486,57 @@ fn solve_iteration_limit_fails_with_diagnostic_but_still_writes_the_trace() {
 #[test]
 fn batch_metrics_are_valid_json_and_leave_the_report_deterministic() {
     let pts = gen_batch("batch-metrics", 6, 8);
-    let run = |threads: &str, metrics: &PathBuf| {
-        let out = lubt()
-            .args(["batch"])
-            .args(&pts)
-            .args(["--lower", "0.9", "--upper", "1.5", "--threads", threads])
-            .args(["--metrics"])
-            .arg(metrics)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "threads {threads}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-    let m1 = tmp("batch-metrics-1.json");
-    let m8 = tmp("batch-metrics-8.json");
-    let stdout1 = run("1", &m1);
-    let stdout8 = run("8", &m8);
+    for (backend, ns) in FLOAT_BACKENDS {
+        let run = |threads: &str, metrics: &PathBuf| {
+            let out = lubt()
+                .args(["batch"])
+                .args(&pts)
+                .args(["--lower", "0.9", "--upper", "1.5", "--threads", threads])
+                .args(["--lp-backend", backend, "--metrics"])
+                .arg(metrics)
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{backend} threads {threads}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out.stdout
+        };
+        let m1 = tmp(&format!("batch-metrics-{backend}-1.json"));
+        let m8 = tmp(&format!("batch-metrics-{backend}-8.json"));
+        let stdout1 = run("1", &m1);
+        let stdout8 = run("8", &m8);
 
-    // Timings and scheduling counters live in the metrics file; the report
-    // on stdout stays byte-identical across thread counts.
-    let strip = |bytes: &[u8]| -> String {
-        String::from_utf8(bytes.to_vec())
-            .unwrap()
-            .lines()
-            .filter(|l| !l.starts_with("metrics written to"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&stdout1), strip(&stdout8));
+        // Timings and scheduling counters live in the metrics file; the
+        // report on stdout stays byte-identical across thread counts.
+        let strip = |bytes: &[u8]| -> String {
+            String::from_utf8(bytes.to_vec())
+                .unwrap()
+                .lines()
+                .filter(|l| !l.starts_with("metrics written to"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(strip(&stdout1), strip(&stdout8), "{backend}");
 
-    for path in [&m1, &m8] {
-        let metrics = std::fs::read_to_string(path).unwrap();
-        lubt_obs::json::validate(&metrics).expect("metrics must be strictly valid JSON");
-        for key in ["batch.instances", "batch.solved", "simplex.solves"] {
-            assert!(metrics.contains(key), "metrics missing {key}: {metrics}");
+        for path in [&m1, &m8] {
+            let metrics = std::fs::read_to_string(path).unwrap();
+            lubt_obs::json::validate(&metrics).expect("metrics must be strictly valid JSON");
+            for key in ["batch.instances", "batch.solved", &format!("{ns}.solves")] {
+                assert!(
+                    metrics.contains(key),
+                    "{backend}: metrics missing {key}: {metrics}"
+                );
+            }
         }
+        let _ = std::fs::remove_file(&m1);
+        let _ = std::fs::remove_file(&m8);
     }
 
     for p in pts {
         let _ = std::fs::remove_file(p);
     }
-    let _ = std::fs::remove_file(&m1);
-    let _ = std::fs::remove_file(&m8);
 }
 
 #[test]
@@ -567,6 +578,74 @@ fn alternate_topologies_and_backend() {
     );
 
     let _ = std::fs::remove_file(&pts);
+}
+
+#[test]
+fn default_backend_is_revised_on_every_entry_point() {
+    use lubt_core::{BatchSolver, DelayBounds, EbfSolver, LubtBuilder, SolverBackend};
+    use lubt_geom::Point;
+    use lubt_obs::SolveTrace;
+    assert_eq!(SolverBackend::default(), SolverBackend::Revised);
+
+    let solved_on_revised = |trace: &SolveTrace, what: &str| {
+        assert!(trace.counter("lp.solves") >= 1, "{what}: {trace:?}");
+        assert!(
+            !trace.counters.keys().any(|k| k.starts_with("simplex.")),
+            "{what} ran the dense simplex: {trace:?}"
+        );
+    };
+    let builder = LubtBuilder::new(vec![
+        Point::new(0.0, 0.0),
+        Point::new(10.0, 0.0),
+        Point::new(0.0, 10.0),
+        Point::new(10.0, 10.0),
+    ])
+    .bounds(DelayBounds::uniform(4, 10.0, 14.0));
+    let problem = builder.build().unwrap();
+    let (result, trace) = EbfSolver::new().solve_traced(&problem);
+    result.unwrap();
+    solved_on_revised(&trace, "EbfSolver::new()");
+    let (result, trace) = builder.solve_traced();
+    result.unwrap();
+    solved_on_revised(&trace, "LubtBuilder::new()");
+    let (results, trace) = BatchSolver::new()
+        .with_threads(1)
+        .solve_all_traced(std::slice::from_ref(&problem));
+    results[0].as_ref().unwrap();
+    solved_on_revised(&trace, "BatchSolver::new()");
+
+    let pts = tmp("default-backend.pts");
+    let trace_path = tmp("default-backend.json");
+    let out = lubt()
+        .args(["gen", "uniform", "--sinks", "8", "--seed", "2", "--out"])
+        .arg(&pts)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = lubt()
+        .args(["solve"])
+        .arg(&pts)
+        .args(["--lower", "0.9", "--upper", "1.4", "--trace-json"])
+        .arg(&trace_path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read_to_string(&trace_path).unwrap();
+    assert!(trace.contains("\"lp.solves\""), "lubt solve: {trace}");
+    assert!(!trace.contains("\"simplex."), "lubt solve: {trace}");
+    let _ = std::fs::remove_file(&pts);
+    let _ = std::fs::remove_file(&trace_path);
+
+    let doc = lubt_obs::json::parse(
+        r#"{"op":"solve","instance":{"name":"n","sinks":[[0,0],[10,0]]},"upper":1.2}"#,
+    )
+    .unwrap();
+    let request = lubt_serve::protocol::parse_request(&doc).unwrap();
+    assert_eq!(request.backend, SolverBackend::Revised);
 }
 
 #[test]
@@ -710,40 +789,46 @@ fn dp_backend_via_cli_solves_batches_and_audits() {
 #[test]
 fn batch_bare_metrics_go_to_stderr_and_leave_stdout_identical() {
     let pts = gen_batch("batch-stderr", 4, 8);
-    let run = |threads: &str| {
-        let out = lubt()
-            .args(["batch"])
-            .args(&pts)
-            .args(["--lower", "0.9", "--upper", "1.5", "--threads", threads])
-            .args(["--metrics", "--metrics-prom"])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "threads {threads}: {}",
-            String::from_utf8_lossy(&out.stderr)
+    for (backend, ns) in FLOAT_BACKENDS {
+        let run = |threads: &str| {
+            let out = lubt()
+                .args(["batch"])
+                .args(&pts)
+                .args(["--lower", "0.9", "--upper", "1.5", "--threads", threads])
+                .args(["--lp-backend", backend, "--metrics", "--metrics-prom"])
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{backend} threads {threads}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            (out.stdout, out.stderr)
+        };
+        let (stdout1, stderr1) = run("1");
+        let (stdout8, _) = run("8");
+        // With no output path the metrics documents land on stderr, so the
+        // default stdout keeps the byte-identity contract even while
+        // tracing.
+        assert_eq!(
+            stdout1, stdout8,
+            "{backend}: stdout must not carry thread-dependent metrics"
         );
-        (out.stdout, out.stderr)
-    };
-    let (stdout1, stderr1) = run("1");
-    let (stdout8, _) = run("8");
-    // With no output path the metrics documents land on stderr, so the
-    // default stdout keeps the byte-identity contract even while tracing.
-    assert_eq!(
-        stdout1, stdout8,
-        "stdout must not carry thread-dependent metrics"
-    );
-    let stdout = String::from_utf8(stdout1).unwrap();
-    assert!(!stdout.contains("lubt-trace-v1"), "stdout: {stdout}");
-    let stderr = String::from_utf8(stderr1).unwrap();
-    assert!(
-        stderr.contains("\"schema\": \"lubt-trace-v1\""),
-        "stderr: {stderr}"
-    );
-    assert!(
-        stderr.contains("# TYPE lubt_simplex_pivots_total counter"),
-        "stderr: {stderr}"
-    );
+        let stdout = String::from_utf8(stdout1).unwrap();
+        assert!(
+            !stdout.contains("lubt-trace-v1"),
+            "{backend}: stdout: {stdout}"
+        );
+        let stderr = String::from_utf8(stderr1).unwrap();
+        assert!(
+            stderr.contains("\"schema\": \"lubt-trace-v1\""),
+            "{backend}: stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("# TYPE lubt_{ns}_pivots_total counter")),
+            "{backend}: stderr: {stderr}"
+        );
+    }
     for p in pts {
         let _ = std::fs::remove_file(p);
     }
@@ -753,35 +838,37 @@ fn batch_bare_metrics_go_to_stderr_and_leave_stdout_identical() {
 fn batch_metrics_prom_file_is_a_prometheus_exposition() {
     let pts = gen_batch("batch-prom", 3, 8);
     let prom = tmp("batch.prom");
-    let out = lubt()
-        .args(["batch"])
-        .args(&pts)
-        .args(["--lower", "0.9", "--upper", "1.5", "--threads", "2"])
-        .args(["--metrics-prom"])
-        .arg(&prom)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        text.contains("prometheus metrics written to"),
-        "stdout: {text}"
-    );
-    let exposition = std::fs::read_to_string(&prom).unwrap();
-    for needle in [
-        "# HELP lubt_simplex_pivots_total",
-        "# TYPE lubt_simplex_pivots_total counter",
-        "lubt_batch_instances_total 3",
-        "lubt_time_lp_seconds_total",
-    ] {
+    for (backend, ns) in FLOAT_BACKENDS {
+        let out = lubt()
+            .args(["batch"])
+            .args(&pts)
+            .args(["--lower", "0.9", "--upper", "1.5", "--threads", "2"])
+            .args(["--lp-backend", backend, "--metrics-prom"])
+            .arg(&prom)
+            .output()
+            .unwrap();
         assert!(
-            exposition.contains(needle),
-            "exposition missing {needle}:\n{exposition}"
+            out.status.success(),
+            "{backend}: {}",
+            String::from_utf8_lossy(&out.stderr)
         );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            text.contains("prometheus metrics written to"),
+            "{backend}: stdout: {text}"
+        );
+        let exposition = std::fs::read_to_string(&prom).unwrap();
+        for needle in [
+            &format!("# HELP lubt_{ns}_pivots_total"),
+            &format!("# TYPE lubt_{ns}_pivots_total counter"),
+            "lubt_batch_instances_total 3",
+            "lubt_time_lp_seconds_total",
+        ] {
+            assert!(
+                exposition.contains(needle),
+                "{backend}: exposition missing {needle}:\n{exposition}"
+            );
+        }
     }
     for p in pts {
         let _ = std::fs::remove_file(p);

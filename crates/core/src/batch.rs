@@ -109,7 +109,7 @@ impl BatchSolver {
 
     /// [`BatchSolver::solve_all`] with batch-level metrics accumulated into
     /// a fresh recorder, returned as a [`SolveTrace`] alongside the
-    /// results: every instance's `ebf.*`/`simplex.*`/`embed.*` counters
+    /// results: every instance's `ebf.*`/`lp.*`/`simplex.*`/`embed.*` counters
     /// summed into one trace, the `par.assist.*` scheduling counters of
     /// the batch loop itself, plus `batch.instances`, `batch.solved`,
     /// `batch.failed`.
@@ -253,8 +253,18 @@ impl BatchSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DelayBounds, LubtBuilder};
+    use crate::{DelayBounds, LubtBuilder, SolverBackend};
     use lubt_geom::Point;
+
+    /// The two float backends, each with the prefix of its LP counters.
+    const FLOAT_BACKENDS: [(SolverBackend, &str); 2] = [
+        (SolverBackend::Simplex, "simplex"),
+        (SolverBackend::Revised, "lp"),
+    ];
+
+    fn batch_on(backend: SolverBackend) -> BatchSolver {
+        BatchSolver::new().with_solver(EbfSolver::new().with_backend(backend))
+    }
 
     fn mixed_batch() -> Vec<LubtProblem> {
         // Instance k = 2 sinks 2(k+4) apart; every other one gets an
@@ -334,31 +344,33 @@ mod tests {
     #[test]
     fn traced_batch_matches_untraced_results_and_counts() {
         let problems = mixed_batch();
-        let plain = BatchSolver::new().with_threads(2).solve_all(&problems);
-        let (traced, trace) = BatchSolver::new()
-            .with_threads(2)
-            .solve_all_traced(&problems);
-        for (p, t) in plain.iter().zip(traced.iter()) {
-            match (p, t) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.edge_lengths(), y.edge_lengths());
-                    assert_eq!(x.positions(), y.positions());
-                    assert_eq!(x.report(), y.report());
+        for (backend, ns) in FLOAT_BACKENDS {
+            let plain = batch_on(backend).with_threads(2).solve_all(&problems);
+            let (traced, trace) = batch_on(backend)
+                .with_threads(2)
+                .solve_all_traced(&problems);
+            for (p, t) in plain.iter().zip(traced.iter()) {
+                match (p, t) {
+                    (Ok(x), Ok(y)) => {
+                        assert_eq!(x.edge_lengths(), y.edge_lengths(), "{backend:?}");
+                        assert_eq!(x.positions(), y.positions(), "{backend:?}");
+                        assert_eq!(x.report(), y.report(), "{backend:?}");
+                    }
+                    (Err(_), Err(_)) => {}
+                    _ => panic!("{backend:?}: tracing changed feasibility"),
                 }
-                (Err(_), Err(_)) => {}
-                _ => panic!("tracing changed feasibility"),
             }
+            assert_eq!(trace.counter("batch.instances"), 8, "{backend:?}");
+            assert_eq!(trace.counter("batch.solved"), 4, "{backend:?}");
+            assert_eq!(trace.counter("batch.failed"), 4, "{backend:?}");
+            // The per-instance separation loops run at width 1, so only the
+            // width-2 batch claim loop itself can record two participants.
+            assert_eq!(trace.maximum("par.assist.workers"), 2, "{backend:?}");
+            // The per-instance solves fed the same trace: LP and embedder
+            // counters aggregate across the whole batch.
+            assert!(trace.counter(&format!("{ns}.solves")) >= 4, "{trace:?}");
+            assert!(trace.counter("embed.fr_constructions") >= 4, "{backend:?}");
         }
-        assert_eq!(trace.counter("batch.instances"), 8);
-        assert_eq!(trace.counter("batch.solved"), 4);
-        assert_eq!(trace.counter("batch.failed"), 4);
-        // The per-instance separation loops run at width 1, so only the
-        // width-2 batch claim loop itself can record two participants.
-        assert_eq!(trace.maximum("par.assist.workers"), 2);
-        // The per-instance solves fed the same trace: LP and embedder
-        // counters aggregate across the whole batch.
-        assert!(trace.counter("simplex.solves") >= 4);
-        assert!(trace.counter("embed.fr_constructions") >= 4);
     }
 
     #[test]
@@ -385,35 +397,42 @@ mod tests {
     #[test]
     fn aggregated_batch_matches_plain_results_and_folds_solver_counters() {
         let problems = mixed_batch();
-        let plain = BatchSolver::new().with_threads(2).solve_all(&problems);
-        let (results, traces, agg) = BatchSolver::new()
-            .with_threads(2)
-            .solve_all_aggregated(&problems);
-        assert_eq!(results.len(), problems.len());
-        assert_eq!(traces.len(), problems.len());
-        for (p, t) in plain.iter().zip(results.iter()) {
-            match (p, t) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x.edge_lengths(), y.edge_lengths());
-                    assert_eq!(x.positions(), y.positions());
-                    assert_eq!(x.report(), y.report());
+        for (backend, ns) in FLOAT_BACKENDS {
+            let plain = batch_on(backend).with_threads(2).solve_all(&problems);
+            let (results, traces, agg) = batch_on(backend)
+                .with_threads(2)
+                .solve_all_aggregated(&problems);
+            assert_eq!(results.len(), problems.len(), "{backend:?}");
+            assert_eq!(traces.len(), problems.len(), "{backend:?}");
+            for (p, t) in plain.iter().zip(results.iter()) {
+                match (p, t) {
+                    (Ok(x), Ok(y)) => {
+                        assert_eq!(x.edge_lengths(), y.edge_lengths(), "{backend:?}");
+                        assert_eq!(x.positions(), y.positions(), "{backend:?}");
+                        assert_eq!(x.report(), y.report(), "{backend:?}");
+                    }
+                    (Err(_), Err(_)) => {}
+                    _ => panic!("{backend:?}: aggregation changed feasibility"),
                 }
-                (Err(_), Err(_)) => {}
-                _ => panic!("aggregation changed feasibility"),
             }
+            // One fold per instance plus the batch bookkeeping counters.
+            assert_eq!(agg.solves, problems.len() as u64, "{backend:?}");
+            assert_eq!(agg.counter("batch.instances"), 8, "{backend:?}");
+            assert_eq!(agg.counter("batch.solved"), 4, "{backend:?}");
+            assert_eq!(agg.counter("batch.failed"), 4, "{backend:?}");
+            // The per-solve histogram has one sample per instance that
+            // reached the LP (infeasible ones may be rejected by the
+            // pre-solve lint).
+            assert!(
+                agg.histogram(&format!("{ns}.solves")).unwrap().count() >= 4,
+                "{backend:?}"
+            );
+            // Scheduling keys stay in the exempt section of the aggregate,
+            // and only the width-2 batch claim loop can record two
+            // participants.
+            assert_eq!(agg.counter("par.assist.jobs"), 0, "{backend:?}");
+            assert_eq!(agg.sched_maxima["par.assist.workers"], 2, "{backend:?}");
         }
-        // One fold per instance plus the batch bookkeeping counters.
-        assert_eq!(agg.solves, problems.len() as u64);
-        assert_eq!(agg.counter("batch.instances"), 8);
-        assert_eq!(agg.counter("batch.solved"), 4);
-        assert_eq!(agg.counter("batch.failed"), 4);
-        // The per-solve histogram has one sample per instance that reached
-        // the LP (infeasible ones may be rejected by the pre-solve lint).
-        assert!(agg.histogram("simplex.solves").unwrap().count() >= 4);
-        // Scheduling keys stay in the exempt section of the aggregate, and
-        // only the width-2 batch claim loop can record two participants.
-        assert_eq!(agg.counter("par.assist.jobs"), 0);
-        assert_eq!(agg.sched_maxima["par.assist.workers"], 2);
     }
 
     #[test]

@@ -224,8 +224,9 @@ impl LubtProblem {
         lubt_lint::LintRegistry::default().run(&self.lint_input(None))
     }
 
-    /// Solves with the default pipeline: lazy-constraint EBF on the simplex
-    /// backend, then geometric embedding with closest-to-parent placement.
+    /// Solves with the default pipeline: lazy-constraint EBF on the default
+    /// backend ([`crate::SolverBackend::default`], revised), then geometric
+    /// embedding with closest-to-parent placement.
     ///
     /// # Errors
     ///
@@ -330,7 +331,7 @@ impl LubtBuilder {
             strategy: TopologyStrategy::default(),
             bounds: None,
             weights: None,
-            backend: SolverBackend::Simplex,
+            backend: SolverBackend::default(),
             steiner_mode: SteinerMode::default_lazy(),
             placement: PlacementPolicy::ClosestToParent,
             threads: 1,
@@ -376,7 +377,7 @@ impl LubtBuilder {
         self
     }
 
-    /// Selects the LP backend (default: simplex).
+    /// Selects the LP backend (default: [`SolverBackend::default`], revised).
     #[must_use]
     pub fn backend(mut self, backend: SolverBackend) -> Self {
         self.backend = backend;

@@ -4,14 +4,15 @@
 //! LOQO. This crate provides two self-contained simplex solvers with the
 //! same surface:
 //!
+//! * [`RevisedSolver`] — a sparse revised simplex storing the constraint
+//!   matrix column-sparse and keeping only a basis factorization (a
+//!   Markowitz sparse LU plus product-form updates); the default choice,
+//!   which `lubt-core`'s `SolverBackend::default()` selects.
 //! * [`SimplexSolver`] — a two-phase dense-tableau primal simplex with
-//!   Dantzig pricing and an automatic switch to Bland's anti-cycling rule.
-//!   Exact infeasibility/unboundedness certificates; the default choice.
-//! * [`RevisedSolver`] — a sparse revised simplex sharing the dense
-//!   backend's pivot rules and [`WarmStart`] token format, but storing the
-//!   constraint matrix column-sparse and keeping only a basis
-//!   factorization (a Markowitz sparse LU plus product-form updates); the
-//!   fast path for large Steiner-row LPs.
+//!   Dantzig pricing and an automatic switch to Bland's anti-cycling rule,
+//!   sharing the revised backend's pivot rules, exact
+//!   infeasibility/unboundedness certificates and [`WarmStart`] token
+//!   format; O(m·n) per pivot, a second float code for cross-checks.
 //!
 //! Problems are described with the [`Model`] builder and solved through the
 //! [`LpSolve`] trait.

@@ -246,7 +246,7 @@ pub fn parse_request(doc: &Value) -> Result<Request, ProtocolError> {
     let mut lower = 0.0;
     let mut upper = None;
     let mut absolute = false;
-    let mut backend = SolverBackend::Revised;
+    let mut backend = SolverBackend::default();
     for (key, value) in pairs {
         match key.as_str() {
             "op" => {

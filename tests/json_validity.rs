@@ -4,9 +4,17 @@
 //! validator of `lubt::obs::json`, the same one CI runs against the CLI
 //! output.
 
-use lubt::core::{solution_to_json, BatchSolver, DelayBounds, EbfSolver, LubtBuilder, SteinerMode};
+use lubt::core::{
+    solution_to_json, BatchSolver, DelayBounds, EbfSolver, LubtBuilder, SolverBackend, SteinerMode,
+};
 use lubt::geom::Point;
 use lubt::obs::json::validate;
+
+/// The two float backends, each with the prefix of its LP counters.
+const FLOAT_BACKENDS: [(SolverBackend, &str); 2] = [
+    (SolverBackend::Simplex, "simplex"),
+    (SolverBackend::Revised, "lp"),
+];
 
 fn square() -> Vec<Point> {
     vec![
@@ -28,16 +36,19 @@ fn assert_strict(doc: &str, what: &str) {
 
 #[test]
 fn feasible_solution_and_trace_are_strict_json() {
-    let builder = LubtBuilder::new(square())
-        .source(Point::new(5.0, 5.0))
-        .bounds(DelayBounds::uniform(4, 12.0, 15.0));
-    let solution = builder.solve().unwrap();
-    assert_strict(&solution_to_json(&solution), "feasible solution JSON");
+    for (backend, ns) in FLOAT_BACKENDS {
+        let builder = LubtBuilder::new(square())
+            .source(Point::new(5.0, 5.0))
+            .bounds(DelayBounds::uniform(4, 12.0, 15.0))
+            .backend(backend);
+        let solution = builder.solve().unwrap();
+        assert_strict(&solution_to_json(&solution), "feasible solution JSON");
 
-    let (result, trace) = builder.solve_traced();
-    assert!(result.is_ok());
-    assert_strict(&trace.to_json(), "feasible solve trace");
-    assert!(trace.counter("simplex.solves") >= 1);
+        let (result, trace) = builder.solve_traced();
+        assert!(result.is_ok(), "{backend:?}");
+        assert_strict(&trace.to_json(), "feasible solve trace");
+        assert!(trace.counter(&format!("{ns}.solves")) >= 1, "{trace:?}");
+    }
 }
 
 #[test]
@@ -170,13 +181,22 @@ fn bench_document_report_and_prometheus_expositions_are_strict() {
 
 #[test]
 fn solve_trace_prometheus_exposition_is_well_formed() {
-    let builder = LubtBuilder::new(square())
-        .source(Point::new(5.0, 5.0))
-        .bounds(DelayBounds::uniform(4, 12.0, 15.0));
-    let (result, trace) = builder.solve_traced();
-    assert!(result.is_ok());
-    let exposition = trace.to_prometheus();
-    assert_prometheus(&exposition, "solve trace exposition");
-    assert!(exposition.contains("lubt_simplex_pivots_total"));
-    assert!(exposition.contains("lubt_time_lp_seconds_total"));
+    for (backend, ns) in FLOAT_BACKENDS {
+        let builder = LubtBuilder::new(square())
+            .source(Point::new(5.0, 5.0))
+            .bounds(DelayBounds::uniform(4, 12.0, 15.0))
+            .backend(backend);
+        let (result, trace) = builder.solve_traced();
+        assert!(result.is_ok(), "{backend:?}");
+        let exposition = trace.to_prometheus();
+        assert_prometheus(&exposition, "solve trace exposition");
+        assert!(
+            exposition.contains(&format!("lubt_{ns}_pivots_total")),
+            "{backend:?}: {exposition}"
+        );
+        assert!(
+            exposition.contains("lubt_time_lp_seconds_total"),
+            "{backend:?}"
+        );
+    }
 }
