@@ -308,8 +308,8 @@ impl Lu {
     }
 
     /// `x = Q U^{-1} L^{-1} P w`: `w` is indexed by row and consumed, `x`
-    /// is written by basis position.
-    fn ftran(&self, w: &mut [f64], x: &mut [f64]) {
+    /// is written by basis position. Returns the pivot steps visited.
+    fn ftran(&self, w: &mut [f64], x: &mut [f64]) -> u64 {
         for k in self.peeled..self.row.len() {
             let t = w[self.row[k] as usize];
             if t != 0.0 {
@@ -333,11 +333,13 @@ impl Lu {
                 w[i as usize] -= u * t;
             }
         }
+        (2 * self.row.len() - self.peeled) as u64
     }
 
     /// `y = P' L^{-T} U^{-T} Q' s`: `s` is indexed by basis position and
-    /// consumed, `y` is written by row. Returns the factor entries read.
-    fn btran(&self, s: &mut [f64], y: &mut [f64]) -> u64 {
+    /// consumed, `y` is written by row. Returns the factor entries read
+    /// and the pivot steps visited.
+    fn btran(&self, s: &mut [f64], y: &mut [f64]) -> (u64, u64) {
         let mut read = 0;
         for k in 0..self.row.len() {
             let a = s[self.pos[k] as usize];
@@ -364,7 +366,7 @@ impl Lu {
                 }
             }
         }
-        read
+        (read, (2 * self.row.len() - self.peeled) as u64)
     }
 }
 
@@ -767,12 +769,13 @@ impl Factor {
     }
 
     /// `v <- B^{-1} v`. `scratch` is caller-owned storage reused across
-    /// calls (resized as needed).
-    pub fn ftran(&self, v: &mut [f64], scratch: &mut Vec<f64>) {
+    /// calls (resized as needed). Returns the LU pivot steps visited
+    /// (`lp.ftran_steps`).
+    pub fn ftran(&self, v: &mut [f64], scratch: &mut Vec<f64>) -> u64 {
         debug_assert_eq!(v.len(), self.dim);
         scratch.clear();
         scratch.extend_from_slice(&v[..self.base_dim]);
-        self.lu.ftran(scratch, &mut v[..self.base_dim]);
+        let steps = self.lu.ftran(scratch, &mut v[..self.base_dim]);
         for u in &self.updates {
             match u {
                 Update::Eta(k) => self.file.ftran_eta(*k, v),
@@ -787,11 +790,13 @@ impl Factor {
                 }
             }
         }
+        steps
     }
 
     /// `v <- B^{-T} v`: the transposed operators applied in reverse.
-    /// Returns the stored factor entries it read (`lp.btran_entries`).
-    pub fn btran(&self, v: &mut [f64], scratch: &mut Vec<f64>) -> u64 {
+    /// Returns the stored factor entries it read (`lp.btran_entries`) and
+    /// the LU pivot steps it visited (`lp.btran_steps`).
+    pub fn btran(&self, v: &mut [f64], scratch: &mut Vec<f64>) -> (u64, u64) {
         debug_assert_eq!(v.len(), self.dim);
         let mut read = 0;
         for u in self.updates.iter().rev() {
@@ -815,7 +820,8 @@ impl Factor {
         }
         scratch.clear();
         scratch.extend_from_slice(&v[..self.base_dim]);
-        read + self.lu.btran(scratch, &mut v[..self.base_dim])
+        let (lu_read, steps) = self.lu.btran(scratch, &mut v[..self.base_dim]);
+        (read + lu_read, steps)
     }
 }
 

@@ -24,9 +24,12 @@
 //! `lp.factor_nnz` and `lp.basis_nnz` (entries those refactorizations
 //! stored, nonzeros of the bases they factored), `lp.btrans` (every
 //! BTRAN), `lp.btran_entries` (factor entries those BTRANs read),
-//! `lp.dual_scan_columns` and `lp.dual_scan_entries` (enterable columns
-//! whose `rho·a_j` the dual candidate scan formed, and the matrix entries
-//! it read), `lp.eta_len` (high-water update-list length), `lp.solves`,
+//! `lp.ftran_steps` and `lp.btran_steps` (LU pivot steps the FTRANs and
+//! BTRANs visited), `lp.dual_scan_columns` and `lp.dual_scan_entries`
+//! (enterable columns whose `rho·a_j` the dual candidate scan formed, and
+//! the matrix entries it read), `lp.dual_update_entries` (`rho` entries
+//! the dual loop's rank-one `y` updates applied), `lp.eta_len`
+//! (high-water update-list length), `lp.solves`,
 //! `lp.resolves`, `lp.peak_pivots`, and the `lp.limit_fraction` gauge —
 //! deliberately disjoint from the dense backend's `simplex.*` keys so
 //! bench documents can hold both without aliasing.
@@ -412,11 +415,18 @@ struct Kernel {
     btrans: u64,
     /// Factor entries those BTRANs read (`lp.btran_entries`).
     btran_entries: u64,
+    /// LU pivot steps the FTRANs visited (`lp.ftran_steps`).
+    ftran_steps: u64,
+    /// LU pivot steps the BTRANs visited (`lp.btran_steps`).
+    btran_steps: u64,
     /// Enterable columns whose `rho·a_j` the dual candidate scans formed
     /// (`lp.dual_scan_columns`).
     dual_scan_columns: u64,
     /// Matrix entries those scans read (`lp.dual_scan_entries`).
     dual_scan_entries: u64,
+    /// `rho` entries the dual loop's rank-one `y` updates applied
+    /// (`lp.dual_update_entries`).
+    dual_update_entries: u64,
     #[cfg(test)]
     dual_probe: DualProbe,
 }
@@ -482,8 +492,11 @@ impl Kernel {
             scratch: Vec::new(),
             btrans: 0,
             btran_entries: 0,
+            ftran_steps: 0,
+            btran_steps: 0,
             dual_scan_columns: 0,
             dual_scan_entries: 0,
+            dual_update_entries: 0,
             #[cfg(test)]
             dual_probe: DualProbe::default(),
         };
@@ -551,31 +564,50 @@ impl Kernel {
         }
     }
 
+    /// `v <- B^{-1} v`, counted in `lp.ftran_steps`: every FTRAN the
+    /// kernel runs goes through here.
+    fn ftran(&mut self, v: &mut [f64]) {
+        self.ftran_steps += self.factor.ftran(v, &mut self.scratch);
+    }
+
     /// `v <- B^{-T} v`, counted in `lp.btrans`: every BTRAN the kernel
     /// runs goes through here.
     fn btran(&mut self, v: &mut [f64]) {
-        self.btran_entries += self.factor.btran(v, &mut self.scratch);
+        let (entries, steps) = self.factor.btran(v, &mut self.scratch);
+        self.btran_entries += entries;
+        self.btran_steps += steps;
         self.btrans += 1;
     }
 
-    /// Emits the work counted since the last flush: the BTRANs and the
-    /// factor entries they read, the dual-scan columns and the matrix
-    /// entries they read.
+    /// Emits the work counted since the last flush: the BTRANs, the
+    /// factor entries they read and the LU steps they visited, the
+    /// FTRANs' LU steps, the dual-scan columns and the matrix entries
+    /// they read, and the dual updates' `rho` entries.
     fn flush_counts(&mut self, rec: &dyn Recorder) {
         let n = std::mem::take(&mut self.btrans);
         let entries = std::mem::take(&mut self.btran_entries);
+        let btran_steps = std::mem::take(&mut self.btran_steps);
+        let ftran_steps = std::mem::take(&mut self.ftran_steps);
         let scan_columns = std::mem::take(&mut self.dual_scan_columns);
         let scan_entries = std::mem::take(&mut self.dual_scan_entries);
+        let update_entries = std::mem::take(&mut self.dual_update_entries);
         if !rec.enabled() {
             return;
         }
         if n > 0 {
             rec.incr("lp.btrans", n);
             rec.incr("lp.btran_entries", entries);
+            rec.incr("lp.btran_steps", btran_steps);
+        }
+        if ftran_steps > 0 {
+            rec.incr("lp.ftran_steps", ftran_steps);
         }
         if scan_columns > 0 {
             rec.incr("lp.dual_scan_columns", scan_columns);
             rec.incr("lp.dual_scan_entries", scan_entries);
+        }
+        if update_entries > 0 {
+            rec.incr("lp.dual_update_entries", update_entries);
         }
     }
 
@@ -614,9 +646,8 @@ impl Kernel {
             .collect();
         self.factor = Factor::build(&cols)
             .ok_or_else(|| LpError::NumericalBreakdown("singular basis".to_string()))?;
-        self.x_b = self.sf.b.clone();
-        let mut x = std::mem::take(&mut self.x_b);
-        self.factor.ftran(&mut x, &mut self.scratch);
+        let mut x = self.sf.b.clone();
+        self.ftran(&mut x);
         self.x_b = x;
         Ok(())
     }
@@ -855,9 +886,7 @@ impl Kernel {
                 };
                 let tf = profiling.then(std::time::Instant::now);
                 let mut w = self.dense_col(enter);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.factor.ftran(&mut w, &mut scratch);
-                self.scratch = scratch;
+                self.ftran(&mut w);
                 if let Some(tf) = tf {
                     ftran_ns = ftran_ns.saturating_add(elapsed_ns(tf));
                 }
@@ -1013,9 +1042,7 @@ impl Kernel {
                 };
                 let tf = profiling.then(std::time::Instant::now);
                 let mut w = self.dense_col(enter);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.factor.ftran(&mut w, &mut scratch);
-                self.scratch = scratch;
+                self.ftran(&mut w);
                 if let Some(tf) = tf {
                     ftran_ns = ftran_ns.saturating_add(elapsed_ns(tf));
                 }
@@ -1031,6 +1058,7 @@ impl Kernel {
                     for (yi, &ri) in y.iter_mut().zip(&rho) {
                         if ri != 0.0 {
                             *yi -= ratio_q * ri;
+                            self.dual_update_entries += 1;
                         }
                     }
                     #[cfg(test)]
@@ -1143,9 +1171,7 @@ impl Kernel {
                 (0..self.sf.n).find(|&j| self.enterable(j) && self.dot_col(j, &rho).abs() > 1e-7);
             if let Some(j) = replacement {
                 let mut w = self.dense_col(j);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.factor.ftran(&mut w, &mut scratch);
-                self.scratch = scratch;
+                self.ftran(&mut w);
                 self.pivot(pos, j, &w, rec)?;
             }
         }
@@ -1393,12 +1419,9 @@ impl RevisedSession {
         kernel.factor.push_append(crows);
         // Recompute the basic values through the extended operator chain
         // (the old positions are untouched by construction).
-        kernel.x_b = kernel.sf.b.clone();
-        let mut x = std::mem::take(&mut kernel.x_b);
-        let mut scratch = std::mem::take(&mut kernel.scratch);
-        kernel.factor.ftran(&mut x, &mut scratch);
+        let mut x = kernel.sf.b.clone();
+        kernel.ftran(&mut x);
         kernel.x_b = x;
-        kernel.scratch = scratch;
 
         let mut iters = self.solution.iterations();
         if self.recorder.enabled() {
