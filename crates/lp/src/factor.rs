@@ -15,7 +15,9 @@
 //!   `Tableau::append_rows`, but `O(nnz(C))` instead of a full re-layout.
 //!
 //! `ftran` applies the operators in order (`x = B^{-1} v`), `btran`
-//! applies their transposes in reverse (`y = B^{-T} v`).
+//! applies their transposes in reverse (`y = B^{-T} v`). The pivot etas
+//! and append blocks are applied whole: an FTRAN skips an eta whose
+//! pivot entry is zero, a BTRAN reads every eta.
 //!
 //! # The base LU ([`Lu`])
 //!
@@ -37,10 +39,33 @@
 //!
 //! `L` and `U` are stored twice, column-wise and row-wise, each as a
 //! structure-of-arrays `u32` index / `f64` value stream ([`Lines`]).
-//! FTRAN sweeps `L` by columns forward and `U` by columns backward;
-//! BTRAN sweeps `U` by rows forward and `L` by rows backward. Both skip
-//! every pivot whose value is exactly `0.0`, so a sparse right-hand side
-//! (a pivot row `e_pos`) reads only the factor entries it reaches.
+//! FTRAN solves with `L` by columns forward and `U` by columns backward;
+//! BTRAN with `U` by rows forward and `L` by rows backward.
+//!
+//! # Hypersparse solves
+//!
+//! A solve visits only the pivot steps its right-hand side reaches
+//! (Gilbert–Peierls). The build keeps each row's and each position's
+//! pivot step; a bitmap over the steps marks the right-hand side's
+//! steps, and every entry that turns nonzero marks its own step. Each
+//! triangle is walked over the marked steps, word by word, in the order
+//! a full sweep would take them, and an update only ever reaches a step
+//! the walk has yet to visit. So each entry receives the same updates in
+//! the same order as in a sweep over every step, and a step whose value
+//! is zero writes the `+0.0` the sweep would. A solve costs the steps and
+//! factor entries it reaches plus one bitmap word per 64 steps.
+//!
+//! The peeled steps have no `U` columns, so FTRAN may finish them in any
+//! order once the kernel steps are done: the rows its `U` pass fills are
+//! listed without a branch, and only the kernel ones are marked.
+//!
+//! A sparse work vector travels with its pattern: the indices of the
+//! entries that may hold anything but `+0.0`, listed in ascending order
+//! on return. Its consumers walk the pattern instead of every row, and
+//! keep their `!= 0.0` tests, since a listed entry may have cancelled to
+//! zero. A dense right-hand side comes without a pattern: each of its
+//! entries marks its step unless it is `+0.0`, and the walks are the
+//! same.
 //!
 //! # Pivot etas ([`EtaFile`])
 //!
@@ -231,9 +256,10 @@ impl EtaFile {
     }
 
     /// `v <- E_k v` where `E_k` maps the stored column to the unit vector
-    /// `e_r`.
+    /// `e_r`, marking in `seen` the rows it writes. Row `r` is already
+    /// marked whenever the eta applies: it holds a nonzero.
     #[inline]
-    fn ftran_eta(&self, k: usize, v: &mut [f64]) {
+    fn ftran_eta(&self, k: usize, v: &mut [f64], seen: &mut [u64]) {
         let e = &self.etas[k];
         let t = v[e.r];
         if t != 0.0 {
@@ -245,19 +271,24 @@ impl EtaFile {
                     for (i, w) in rows.iter().zip(vals) {
                         v[*i as usize] -= w * t;
                     }
+                    mark_ascending(seen, rows);
                 }
                 EtaBody::Dense {
                     first_block,
                     blocks,
-                } => dense_axpy(v, *first_block, blocks, t),
+                } => {
+                    dense_axpy(v, *first_block, blocks, t);
+                    let lo = first_block * 8;
+                    mark_range(seen, lo, v.len().min(lo + blocks.len() * 8));
+                }
             }
             v[e.r] = t;
         }
     }
 
-    /// `v <- E_k' v`: only component `r` changes.
+    /// `v <- E_k' v`: only component `r` changes. Returns `r`.
     #[inline]
-    fn btran_eta(&self, k: usize, v: &mut [f64]) {
+    fn btran_eta(&self, k: usize, v: &mut [f64]) -> usize {
         let e = &self.etas[k];
         let mut s = v[e.r];
         match &e.body {
@@ -274,6 +305,149 @@ impl EtaFile {
             } => s -= dense_dot(v, *first_block, blocks),
         }
         v[e.r] = s / e.wr;
+        e.r
+    }
+}
+
+/// Sets bit `i`.
+#[inline]
+fn mark(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Sets the bits of the ascending indices `idx`, one store per word.
+fn mark_ascending(bits: &mut [u64], idx: &[u32]) {
+    let (mut at, mut word) = (usize::MAX, 0u64);
+    for &i in idx {
+        let i = i as usize;
+        if i / 64 != at {
+            if word != 0 {
+                bits[at] |= word;
+            }
+            (at, word) = (i / 64, 0);
+        }
+        word |= 1 << (i % 64);
+    }
+    if word != 0 {
+        bits[at] |= word;
+    }
+}
+
+/// Sets bits `lo..hi`.
+fn mark_range(bits: &mut [u64], lo: usize, hi: usize) {
+    if lo >= hi {
+        return;
+    }
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    let head = u64::MAX << (lo % 64);
+    let tail = u64::MAX >> (63 - (hi - 1) % 64);
+    if first == last {
+        bits[first] |= head & tail;
+    } else {
+        bits[first] |= head;
+        bits[first + 1..last].fill(u64::MAX);
+        bits[last] |= tail;
+    }
+}
+
+/// Visits the marked steps at or above `from` in ascending order.
+/// `visit(k, steps)` may mark later steps; it returns whether it marked
+/// any, so the walk rereads the word, and whether `k` stays marked.
+/// Marks below `from` stay as they are.
+#[inline]
+fn walk_up(
+    steps: &mut [u64],
+    from: usize,
+    mut visit: impl FnMut(usize, &mut [u64]) -> (bool, bool),
+) {
+    let below = !(u64::MAX << (from % 64));
+    for at in from / 64..steps.len() {
+        let mut keep = if at == from / 64 {
+            steps[at] & below
+        } else {
+            0
+        };
+        let mut word = steps[at] & !keep;
+        while word != 0 {
+            let b = word.trailing_zeros();
+            let (marked, kept) = visit(at * 64 + b as usize, steps);
+            keep |= (kept as u64) << b;
+            word = if marked {
+                steps[at] & (u64::MAX << b << 1)
+            } else {
+                word & (word - 1)
+            };
+        }
+        steps[at] = keep;
+    }
+}
+
+/// Visits the marked steps at or above `from` in descending order and
+/// clears their marks. `visit(k, steps)` may mark earlier steps; it
+/// returns whether it marked any, so the walk rereads the word. Marks
+/// below `from` stay as they are.
+#[inline]
+fn walk_down(steps: &mut [u64], from: usize, mut visit: impl FnMut(usize, &mut [u64]) -> bool) {
+    for at in (from / 64..steps.len()).rev() {
+        let part = if at == from / 64 {
+            u64::MAX << (from % 64)
+        } else {
+            u64::MAX
+        };
+        let mut word = steps[at] & part;
+        while word != 0 {
+            let b = 63 - word.leading_zeros();
+            word = if visit(at * 64 + b as usize, steps) {
+                steps[at] & part & !(u64::MAX << b)
+            } else {
+                word & !(1 << b)
+            };
+        }
+        steps[at] &= !part;
+    }
+}
+
+/// Whether `x` is anything but `+0.0`: the entries a pattern must list.
+#[inline]
+fn is_set(x: f64) -> bool {
+    x.to_bits() != 0
+}
+
+/// Panics unless `pat` is ascending and lists every entry of `v` that is
+/// not `+0.0`.
+#[cfg(test)]
+pub(crate) fn assert_pattern(v: &[f64], pat: &[u32]) {
+    assert!(pat.windows(2).all(|p| p[0] < p[1]), "{pat:?}");
+    let mut listed = vec![false; v.len()];
+    for &i in pat {
+        listed[i as usize] = true;
+    }
+    for (i, &x) in v.iter().enumerate() {
+        assert!(listed[i] || !is_set(x), "entry {i} = {x:e} is unlisted");
+    }
+}
+
+/// Scratch of [`Factor::ftran`] and [`Factor::btran`], reused across
+/// calls and refactorizations. Every buffer is all zero between calls.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    /// The LU's work vector: by row in FTRAN, by position in BTRAN.
+    work: Vec<f64>,
+    /// One bit per LU pivot step: the steps the solve reached.
+    steps: Vec<u64>,
+    /// One bit per basis row or position: the result's pattern.
+    seen: Vec<u64>,
+    /// The rows an FTRAN's `U` pass filled.
+    fills: Vec<u32>,
+}
+
+impl Scratch {
+    /// Sizes the buffers to an LU of `base_dim` steps under a basis of
+    /// `dim` rows.
+    fn fit(&mut self, base_dim: usize, dim: usize) {
+        self.work.resize(base_dim, 0.0);
+        self.steps.resize(base_dim.div_ceil(64), 0);
+        self.seen.resize(dim.div_ceil(64), 0);
     }
 }
 
@@ -286,6 +460,10 @@ struct Lu {
     row: Vec<u32>,
     pos: Vec<u32>,
     diag: Vec<f64>,
+    /// The inverses of `row` and `pos`: the pivot step of each basis row
+    /// and each basis position.
+    step_of_row: Vec<u32>,
+    step_of_pos: Vec<u32>,
     peeled: usize,
     /// Per pivot `k`: the multipliers below it, indexed by row.
     l_cols: Lines,
@@ -307,9 +485,187 @@ impl Lu {
         (self.l_cols.nnz() + self.u_rows.nnz() + self.diag.len()) as u64
     }
 
-    /// `x = Q U^{-1} L^{-1} P w`: `w` is indexed by row and consumed, `x`
-    /// is written by basis position. Returns the pivot steps visited.
-    fn ftran(&self, w: &mut [f64], x: &mut [f64]) -> u64 {
+    /// Marks in `steps` each step `k` whose entry `work[at[k]]` is not
+    /// `+0.0`, where `at` is `row` or `pos`.
+    fn mark_set(&self, at: &[u32], work: &[f64], steps: &mut [u64]) {
+        for (word, ats) in steps.iter_mut().zip(at.chunks(64)) {
+            let mut bits = 0;
+            for (b, &i) in ats.iter().enumerate() {
+                bits |= (is_set(work[i as usize]) as u64) << b;
+            }
+            *word |= bits;
+        }
+    }
+
+    /// `x = Q U^{-1} L^{-1} P w` over the reached pivot steps. On entry
+    /// `w` holds the right-hand side by row, `steps` marks the step of
+    /// every row it may hold a nonzero on, and `x`, by basis position, is
+    /// all `+0.0`. On return `w` and `steps` are clear, and `seen` marks
+    /// the positions written. `fills` is scratch. Returns the steps
+    /// visited.
+    ///
+    /// A peeled step has no `U` column, so nothing depends on the order
+    /// in which the peeled steps finish: the kernel steps go through the
+    /// ordered walks, and the peeled rows the `U` pass reaches are listed
+    /// without a branch and finished last.
+    fn ftran(
+        &self,
+        w: &mut [f64],
+        steps: &mut [u64],
+        x: &mut [f64],
+        seen: &mut [u64],
+        fills: &mut Vec<u32>,
+    ) -> u64 {
+        let mut visited = 0;
+        // L by columns, ascending: an update reaches a later step.
+        walk_up(steps, self.peeled, |k, steps| {
+            visited += 1;
+            let t = w[self.row[k] as usize];
+            let (is, ls) = self.l_cols.line(k);
+            if t == 0.0 || is.is_empty() {
+                return (false, true);
+            }
+            for (&i, &l) in is.iter().zip(ls) {
+                let i = i as usize;
+                if w[i] == 0.0 {
+                    mark(steps, self.step_of_row[i] as usize);
+                }
+                w[i] -= l * t;
+            }
+            (true, true)
+        });
+        // U by columns, descending over the kernel steps: an update
+        // reaches an earlier step. Every row an update finds at zero is
+        // listed; a kernel one is marked for this walk.
+        let mut len = 0;
+        walk_down(steps, self.peeled, |k, steps| {
+            visited += 1;
+            let s = std::mem::replace(&mut w[self.row[k] as usize], 0.0);
+            if s == 0.0 {
+                return false;
+            }
+            let p = self.pos[k] as usize;
+            let t = s / self.diag[k];
+            x[p] = t;
+            mark(seen, p);
+            let (is, us) = self.u_cols.line(k);
+            if fills.len() < len + is.len() {
+                fills.resize(len + is.len(), 0);
+            }
+            let start = len;
+            for (&i, &u) in is.iter().zip(us) {
+                fills[len] = i;
+                len += (w[i as usize] == 0.0) as usize;
+                w[i as usize] -= u * t;
+            }
+            let mut marked = false;
+            for &i in &fills[start..len] {
+                let j = self.step_of_row[i as usize] as usize;
+                if j >= self.peeled {
+                    mark(steps, j);
+                    marked = true;
+                }
+            }
+            marked
+        });
+        // The peeled steps: first those of the right-hand side, still
+        // marked, in step order, then the listed rows. Kernel rows on the
+        // list were finished by the walk.
+        let mut finish = |k: usize, s: f64| {
+            let p = self.pos[k] as usize;
+            x[p] = s / self.diag[k];
+            mark(seen, p);
+        };
+        walk_down(steps, 0, |k, _| {
+            visited += 1;
+            let s = std::mem::replace(&mut w[self.row[k] as usize], 0.0);
+            if s != 0.0 {
+                finish(k, s);
+            }
+            false
+        });
+        for &i in &fills[..len] {
+            let k = self.step_of_row[i as usize] as usize;
+            if k < self.peeled {
+                visited += 1;
+                let s = std::mem::replace(&mut w[i as usize], 0.0);
+                if s != 0.0 {
+                    finish(k, s);
+                }
+            }
+        }
+        visited
+    }
+
+    /// `y = P' L^{-T} U^{-T} Q' s` over the reached pivot steps. On entry
+    /// `s` holds the right-hand side by basis position, `steps` marks the
+    /// step of every position it may hold a nonzero on, and `y`, by row,
+    /// is all `+0.0`. On return `s` and `steps` are clear, and `seen`
+    /// marks the rows written. Returns the factor entries read and the
+    /// steps visited.
+    fn btran(
+        &self,
+        s: &mut [f64],
+        steps: &mut [u64],
+        y: &mut [f64],
+        seen: &mut [u64],
+    ) -> (u64, u64) {
+        let (mut read, mut visited) = (0, 0);
+        // U by rows, ascending: an update reaches a later step. A step
+        // stays marked for the L pass only if it wrote a kernel row.
+        walk_up(steps, 0, |k, steps| {
+            visited += 1;
+            let a = std::mem::replace(&mut s[self.pos[k] as usize], 0.0);
+            if a == 0.0 {
+                return (false, false);
+            }
+            let r = self.row[k] as usize;
+            let t = a / self.diag[k];
+            y[r] = t;
+            let kernel = k >= self.peeled;
+            if !kernel {
+                mark(seen, r);
+            }
+            let (ps, us) = self.u_rows.line(k);
+            read += 1 + ps.len() as u64;
+            for (&p, &u) in ps.iter().zip(us) {
+                let p = p as usize;
+                if s[p] == 0.0 {
+                    mark(steps, self.step_of_pos[p] as usize);
+                }
+                s[p] -= u * t;
+            }
+            (!ps.is_empty(), kernel)
+        });
+        // L by rows, descending over the kernel steps: an update reaches
+        // an earlier kernel row.
+        walk_down(steps, self.peeled, |k, steps| {
+            visited += 1;
+            let r = self.row[k] as usize;
+            mark(seen, r);
+            let t = y[r];
+            let (is, ls) = self.l_rows.line(k);
+            if t == 0.0 {
+                return false;
+            }
+            read += is.len() as u64;
+            for (&i, &l) in is.iter().zip(ls) {
+                let i = i as usize;
+                if y[i] == 0.0 {
+                    mark(steps, self.step_of_row[i] as usize);
+                }
+                y[i] -= l * t;
+            }
+            !is.is_empty()
+        });
+        (read, visited)
+    }
+
+    /// The sweep [`Lu::ftran`] replaced, visiting every pivot step:
+    /// `w` is indexed by row and consumed, `x` is written by basis
+    /// position.
+    #[cfg(test)]
+    fn ftran_sweep(&self, w: &mut [f64], x: &mut [f64]) {
         for k in self.peeled..self.row.len() {
             let t = w[self.row[k] as usize];
             if t != 0.0 {
@@ -333,13 +689,13 @@ impl Lu {
                 w[i as usize] -= u * t;
             }
         }
-        (2 * self.row.len() - self.peeled) as u64
     }
 
-    /// `y = P' L^{-T} U^{-T} Q' s`: `s` is indexed by basis position and
-    /// consumed, `y` is written by row. Returns the factor entries read
-    /// and the pivot steps visited.
-    fn btran(&self, s: &mut [f64], y: &mut [f64]) -> (u64, u64) {
+    /// The sweep [`Lu::btran`] replaced, visiting every pivot step: `s`
+    /// is indexed by basis position and consumed, `y` is written by row.
+    /// Returns the factor entries read.
+    #[cfg(test)]
+    fn btran_sweep(&self, s: &mut [f64], y: &mut [f64]) -> u64 {
         let mut read = 0;
         for k in 0..self.row.len() {
             let a = s[self.pos[k] as usize];
@@ -366,7 +722,7 @@ impl Lu {
                 }
             }
         }
-        (read, (2 * self.row.len() - self.peeled) as u64)
+        read
     }
 }
 
@@ -660,6 +1016,8 @@ impl Lu {
 
         lu.u_cols = lu.u_rows.transpose(&pivot_of_pos, &lu.row, dim);
         lu.l_rows = lu.l_cols.transpose(&pivot_of_row, &lu.row, dim);
+        lu.step_of_row = pivot_of_row;
+        lu.step_of_pos = pivot_of_pos;
         Some(lu)
     }
 }
@@ -741,11 +1099,14 @@ impl Factor {
     }
 
     /// Records a simplex basis change: the entering column's ftran image
-    /// `w` (dense) replaces basis position `pos`.
-    pub fn push_pivot(&mut self, pos: usize, w: &[f64]) {
+    /// `w`, with its ascending pattern `pat`, replaces basis position
+    /// `pos`.
+    pub fn push_pivot(&mut self, pos: usize, w: &[f64], pat: &[u32]) {
         debug_assert_eq!(w.len(), self.dim);
+        debug_assert!(pat.windows(2).all(|p| p[0] < p[1]));
         let mut col: Vec<(usize, f64)> = Vec::new();
-        for (i, &v) in w.iter().enumerate() {
+        for &i in pat {
+            let (i, v) = (i as usize, w[i as usize]);
             if i != pos && v != 0.0 {
                 col.push((i, v));
             }
@@ -768,17 +1129,96 @@ impl Factor {
         self.dim += k;
     }
 
-    /// `v <- B^{-1} v`. `scratch` is caller-owned storage reused across
-    /// calls (resized as needed). Returns the LU pivot steps visited
-    /// (`lp.ftran_steps`).
-    pub fn ftran(&self, v: &mut [f64], scratch: &mut Vec<f64>) -> u64 {
+    /// `v <- B^{-1} v`. `pat`, if given, lists without repeats every
+    /// index whose entry may be anything but `+0.0`, and lists the
+    /// result's in ascending order on return; without it `v` is dense.
+    /// Returns the LU pivot steps visited (`lp.ftran_steps`).
+    pub fn ftran(&self, v: &mut [f64], pat: Option<&mut Vec<u32>>, scratch: &mut Scratch) -> u64 {
         debug_assert_eq!(v.len(), self.dim);
-        scratch.clear();
-        scratch.extend_from_slice(&v[..self.base_dim]);
-        let steps = self.lu.ftran(scratch, &mut v[..self.base_dim]);
+        let base = self.base_dim;
+        scratch.fit(base, self.dim);
+        let Scratch {
+            work,
+            steps,
+            seen,
+            fills,
+        } = scratch;
+        match &pat {
+            Some(pat) => {
+                for &i in pat.iter() {
+                    let i = i as usize;
+                    if i < base {
+                        work[i] = std::mem::replace(&mut v[i], 0.0);
+                        mark(steps, self.lu.step_of_row[i] as usize);
+                    } else {
+                        mark(seen, i);
+                    }
+                }
+            }
+            None => {
+                work.copy_from_slice(&v[..base]);
+                v[..base].fill(0.0);
+                self.lu.mark_set(&self.lu.row, work, steps);
+            }
+        }
+        let visited = self.lu.ftran(work, steps, &mut v[..base], seen, fills);
+        self.ftran_updates(v, seen);
+        take_pattern(seen, pat);
+        visited
+    }
+
+    /// `v <- B^{-T} v`, with `pat` as in [`Factor::ftran`]. Returns the
+    /// stored factor entries it read (`lp.btran_entries`) and the LU
+    /// pivot steps it visited (`lp.btran_steps`).
+    pub fn btran(
+        &self,
+        v: &mut [f64],
+        pat: Option<&mut Vec<u32>>,
+        scratch: &mut Scratch,
+    ) -> (u64, u64) {
+        debug_assert_eq!(v.len(), self.dim);
+        let base = self.base_dim;
+        scratch.fit(base, self.dim);
+        let Scratch {
+            work, steps, seen, ..
+        } = scratch;
+        for &i in pat.iter().flat_map(|p| p.iter()) {
+            mark(seen, i as usize);
+        }
+        let read = self.btran_updates(v, seen);
+        if pat.is_some() {
+            // The entries below `base` move to the LU's work vector.
+            for (at, bits) in seen[..base.div_ceil(64)].iter_mut().enumerate() {
+                let part = if base - at * 64 < 64 {
+                    !(u64::MAX << (base % 64))
+                } else {
+                    u64::MAX
+                };
+                let mut word = *bits & part;
+                *bits &= !part;
+                while word != 0 {
+                    let p = at * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    work[p] = std::mem::replace(&mut v[p], 0.0);
+                    mark(steps, self.lu.step_of_pos[p] as usize);
+                }
+            }
+        } else {
+            work.copy_from_slice(&v[..base]);
+            v[..base].fill(0.0);
+            self.lu.mark_set(&self.lu.pos, work, steps);
+        }
+        let (lu_read, visited) = self.lu.btran(work, steps, &mut v[..base], seen);
+        take_pattern(seen, pat);
+        (read + lu_read, visited)
+    }
+
+    /// Applies the update operators in order, marking in `seen` the
+    /// entries they write.
+    fn ftran_updates(&self, v: &mut [f64], seen: &mut [u64]) {
         for u in &self.updates {
             match u {
-                Update::Eta(k) => self.file.ftran_eta(*k, v),
+                Update::Eta(k) => self.file.ftran_eta(*k, v, seen),
                 Update::Append { base, rows } => {
                     for (k, row) in rows.iter().enumerate() {
                         let mut s = 0.0;
@@ -786,23 +1226,26 @@ impl Factor {
                             s += ci * v[i];
                         }
                         v[base + k] -= s;
+                        if is_set(v[base + k]) {
+                            mark(seen, base + k);
+                        }
                     }
                 }
             }
         }
-        steps
     }
 
-    /// `v <- B^{-T} v`: the transposed operators applied in reverse.
-    /// Returns the stored factor entries it read (`lp.btran_entries`) and
-    /// the LU pivot steps it visited (`lp.btran_steps`).
-    pub fn btran(&self, v: &mut [f64], scratch: &mut Vec<f64>) -> (u64, u64) {
-        debug_assert_eq!(v.len(), self.dim);
+    /// Applies the transposed update operators in reverse, marking in
+    /// `seen` the entries they write. Returns the stored entries read.
+    fn btran_updates(&self, v: &mut [f64], seen: &mut [u64]) -> u64 {
         let mut read = 0;
         for u in self.updates.iter().rev() {
             match u {
                 Update::Eta(k) => {
-                    self.file.btran_eta(*k, v);
+                    let r = self.file.btran_eta(*k, v);
+                    if is_set(v[r]) {
+                        mark(seen, r);
+                    }
                     read += self.file.etas[*k].nnz;
                 }
                 Update::Append { base, rows } => {
@@ -811,6 +1254,7 @@ impl Factor {
                         if f != 0.0 {
                             for &(i, ci) in row {
                                 v[i] -= ci * f;
+                                mark(seen, i);
                             }
                             read += row.len() as u64;
                         }
@@ -818,10 +1262,41 @@ impl Factor {
                 }
             }
         }
-        scratch.clear();
-        scratch.extend_from_slice(&v[..self.base_dim]);
-        let (lu_read, steps) = self.lu.btran(scratch, &mut v[..self.base_dim]);
-        (read + lu_read, steps)
+        read
+    }
+
+    /// The FTRAN [`Factor::ftran`] replaced: the dense vector through
+    /// the sweep over every LU step, then the same updates.
+    #[cfg(test)]
+    pub fn ftran_by_sweep(&self, v: &mut [f64]) {
+        let mut w = v[..self.base_dim].to_vec();
+        self.lu.ftran_sweep(&mut w, &mut v[..self.base_dim]);
+        self.ftran_updates(v, &mut vec![0; self.dim.div_ceil(64)]);
+    }
+
+    /// The BTRAN [`Factor::btran`] replaced; returns the entries read.
+    #[cfg(test)]
+    pub fn btran_by_sweep(&self, v: &mut [f64]) -> u64 {
+        let read = self.btran_updates(v, &mut vec![0; self.dim.div_ceil(64)]);
+        let mut s = v[..self.base_dim].to_vec();
+        read + self.lu.btran_sweep(&mut s, &mut v[..self.base_dim])
+    }
+}
+
+/// Clears `seen`, first listing its set bits, ascending, in `pat` if
+/// given.
+fn take_pattern(seen: &mut [u64], pat: Option<&mut Vec<u32>>) {
+    let Some(pat) = pat else {
+        seen.fill(0);
+        return;
+    };
+    pat.clear();
+    for (at, word) in seen.iter_mut().enumerate() {
+        let mut w = std::mem::take(word);
+        while w != 0 {
+            pat.push((at * 64) as u32 + w.trailing_zeros());
+            w &= w - 1;
+        }
     }
 }
 
@@ -860,20 +1335,70 @@ mod tests {
         }
     }
 
+    /// The pattern of `v`: every entry that is not `+0.0`.
+    fn support(v: &[f64]) -> Vec<u32> {
+        (0..v.len() as u32)
+            .filter(|&i| is_set(v[i as usize]))
+            .collect()
+    }
+
+    /// `B^{-1} v` with `v`'s pattern and as a dense vector, each checked
+    /// bit for bit against the sweep over every LU step; returns the
+    /// result and its checked pattern. `scratch` carries over between
+    /// calls, as in the kernel.
+    fn ftran(f: &Factor, v: &[f64], scratch: &mut Scratch) -> (Vec<f64>, Vec<u32>) {
+        let mut want = v.to_vec();
+        f.ftran_by_sweep(&mut want);
+        let mut dense = v.to_vec();
+        f.ftran(&mut dense, None, scratch);
+        assert_eq!(
+            bits(&dense),
+            bits(&want),
+            "dense ftran diverged from the sweep"
+        );
+        let (mut got, mut pat) = (v.to_vec(), support(v));
+        f.ftran(&mut got, Some(&mut pat), scratch);
+        assert_eq!(bits(&got), bits(&want), "ftran diverged from the sweep");
+        assert_pattern(&got, &pat);
+        (got, pat)
+    }
+
+    /// `B^{-T} v`, checked like [`ftran`], and its count of factor
+    /// entries read against the sweep's.
+    fn btran(f: &Factor, v: &[f64], scratch: &mut Scratch) -> (Vec<f64>, Vec<u32>) {
+        let mut want = v.to_vec();
+        let want_read = f.btran_by_sweep(&mut want);
+        let mut dense = v.to_vec();
+        let (read, _) = f.btran(&mut dense, None, scratch);
+        assert_eq!(
+            bits(&dense),
+            bits(&want),
+            "dense btran diverged from the sweep"
+        );
+        assert_eq!(
+            read, want_read,
+            "dense btran read other entries than the sweep"
+        );
+        let (mut got, mut pat) = (v.to_vec(), support(v));
+        let (read, _) = f.btran(&mut got, Some(&mut pat), scratch);
+        assert_eq!(bits(&got), bits(&want), "btran diverged from the sweep");
+        assert_eq!(read, want_read, "btran read other entries than the sweep");
+        assert_pattern(&got, &pat);
+        (got, pat)
+    }
+
     #[test]
     fn ftran_btran_invert_a_dense_basis() {
         let a: &[&[f64]] = &[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]];
         let f = Factor::build(&dense_cols(a)).unwrap();
         let x = vec![1.0, -2.0, 0.5];
-        let mut scratch = Vec::new();
+        let mut scratch = Scratch::default();
 
-        let mut v = mat_vec(a, &x); // v = A x  =>  ftran(v) == x
-        f.ftran(&mut v, &mut scratch);
-        assert_close(&v, &x);
+        let v = ftran(&f, &mat_vec(a, &x), &mut scratch); // ftran(A x) == x
+        assert_close(&v.0, &x);
 
-        let mut v = mat_t_vec(a, &x); // v = A' x  =>  btran(v) == x
-        f.btran(&mut v, &mut scratch);
-        assert_close(&v, &x);
+        let v = btran(&f, &mat_t_vec(a, &x), &mut scratch); // btran(A' x) == x
+        assert_close(&v.0, &x);
     }
 
     #[test]
@@ -886,20 +1411,17 @@ mod tests {
     fn pivot_eta_tracks_a_column_replacement() {
         let a: &[&[f64]] = &[&[1.0, 1.0], &[0.0, 2.0]];
         let mut f = Factor::build(&dense_cols(a)).unwrap();
-        let mut scratch = Vec::new();
+        let mut scratch = Scratch::default();
         // Replace position 0 with column q = (3, 1)'.
-        let mut w = vec![3.0, 1.0];
-        f.ftran(&mut w, &mut scratch);
-        f.push_pivot(0, &w);
+        let (w, pat) = ftran(&f, &[3.0, 1.0], &mut scratch);
+        f.push_pivot(0, &w, &pat);
         // New basis: [[3, 1], [1, 2]].
         let b2: &[&[f64]] = &[&[3.0, 1.0], &[1.0, 2.0]];
         let x = vec![0.5, -1.5];
-        let mut v = mat_vec(b2, &x);
-        f.ftran(&mut v, &mut scratch);
-        assert_close(&v, &x);
-        let mut v = mat_t_vec(b2, &x);
-        f.btran(&mut v, &mut scratch);
-        assert_close(&v, &x);
+        let v = ftran(&f, &mat_vec(b2, &x), &mut scratch);
+        assert_close(&v.0, &x);
+        let v = btran(&f, &mat_t_vec(b2, &x), &mut scratch);
+        assert_close(&v.0, &x);
     }
 
     #[test]
@@ -911,14 +1433,12 @@ mod tests {
         f.push_append(vec![vec![(0, 5.0), (1, 7.0)]]);
         assert_eq!(f.dim(), 3);
         let b1: &[&[f64]] = &[&[2.0, 0.0, 0.0], &[1.0, 1.0, 0.0], &[5.0, 7.0, 1.0]];
-        let mut scratch = Vec::new();
+        let mut scratch = Scratch::default();
         let x = vec![1.0, 2.0, -1.0];
-        let mut v = mat_vec(b1, &x);
-        f.ftran(&mut v, &mut scratch);
-        assert_close(&v, &x);
-        let mut v = mat_t_vec(b1, &x);
-        f.btran(&mut v, &mut scratch);
-        assert_close(&v, &x);
+        let v = ftran(&f, &mat_vec(b1, &x), &mut scratch);
+        assert_close(&v.0, &x);
+        let v = btran(&f, &mat_t_vec(b1, &x), &mut scratch);
+        assert_close(&v.0, &x);
     }
 
     #[test]
@@ -927,7 +1447,7 @@ mod tests {
         let mut f = Factor::build(&dense_cols(a)).unwrap();
         assert!(!f.needs_refactor());
         for _ in 0..ETA_REFRESH {
-            f.push_pivot(0, &[1.0, 0.0]);
+            f.push_pivot(0, &[1.0, 0.0], &[0]);
         }
         assert!(f.needs_refactor());
         assert_eq!(f.eta_len(), ETA_REFRESH);
@@ -958,13 +1478,13 @@ mod tests {
 
         let v0: Vec<f64> = (0..dim).map(|i| noise(i + 5) - 4.0).collect();
         let (mut a, mut b) = (v0.clone(), v0.clone());
-        file.ftran_eta(0, &mut a);
-        file.ftran_eta(1, &mut b);
-        assert_eq!(
-            a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "ftran diverged between representations"
-        );
+        let (mut seen_a, mut seen_b) = ([0u64; 1], [0u64; 1]);
+        file.ftran_eta(0, &mut a, &mut seen_a);
+        file.ftran_eta(1, &mut b, &mut seen_b);
+        assert_eq!(bits(&a), bits(&b), "ftran diverged between representations");
+        // The dense body marks its whole lane range, which covers the rows
+        // the sparse one marks.
+        assert_eq!(seen_a[0] & !seen_b[0], 0);
         let (mut a, mut b) = (v0.clone(), v0);
         file.btran_eta(0, &mut a);
         file.btran_eta(1, &mut b);
@@ -1001,12 +1521,11 @@ mod tests {
 
         let v0: Vec<f64> = (0..dim).map(|i| noise(i + 2) - 3.0).collect();
         let (mut a, mut b) = (v0.clone(), v0.clone());
-        file.ftran_eta(0, &mut a);
-        file.ftran_eta(1, &mut b);
-        assert_eq!(
-            a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        );
+        let (mut seen_a, mut seen_b) = ([0u64; 1], [0u64; 1]);
+        file.ftran_eta(0, &mut a, &mut seen_a);
+        file.ftran_eta(1, &mut b, &mut seen_b);
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(seen_a[0] & !seen_b[0], 0);
         let (mut a, mut b) = (v0.clone(), v0);
         file.btran_eta(0, &mut a);
         file.btran_eta(1, &mut b);
@@ -1025,7 +1544,7 @@ mod tests {
         let mut f = Factor::build(&dense_cols(&refs)).unwrap();
         // A fully dense entering column must land in block storage.
         let w: Vec<f64> = (0..dim).map(|i| noise(i) / 4.0).collect();
-        f.push_pivot(3, &w);
+        f.push_pivot(3, &w, &support(&w));
         let Update::Eta(k) = f.updates[0] else {
             panic!("expected a pivot eta");
         };
@@ -1102,18 +1621,16 @@ mod tests {
     /// side and checks both residuals against the dense products.
     fn assert_solves(cols: &[SparseCol], f: &Factor, label: &str) {
         let dim = cols.len();
-        let mut scratch = Vec::new();
+        let mut scratch = Scratch::default();
         let dense: Vec<f64> = (0..dim).map(|i| noise(i * 7 + 3) - 4.0).collect();
         let mut unit = vec![0.0; dim];
         unit[dim / 2] = 1.0;
         for v in [dense, unit] {
-            let mut x = v.clone();
-            f.ftran(&mut x, &mut scratch);
-            let gap = rel_gap(&col_product(cols, &x), &v);
+            let x = ftran(f, &v, &mut scratch);
+            let gap = rel_gap(&col_product(cols, &x.0), &v);
             assert!(gap <= 1e-9, "{label}: ftran residual {gap:e}");
-            let mut y = v.clone();
-            f.btran(&mut y, &mut scratch);
-            let gap = rel_gap(&col_t_product(cols, &y), &v);
+            let y = btran(f, &v, &mut scratch);
+            let gap = rel_gap(&col_t_product(cols, &y.0), &v);
             assert!(gap <= 1e-9, "{label}: btran residual {gap:e}");
         }
     }
@@ -1141,6 +1658,89 @@ mod tests {
         assert!(kernel_pivots > 0 && fill > 0, "no kernel elimination ran");
     }
 
+    /// Random bases grown by pivot etas and append blocks, as the kernel
+    /// grows them. After each growth step, every unit vector, every basis
+    /// column and a dense vector (with `-0.0` entries) go through FTRAN
+    /// and BTRAN, with and without a pattern, each compared by bits with
+    /// the sweep over every LU step; one scratch serves every call.
+    #[test]
+    fn reach_only_solves_match_the_sweep_bit_for_bit() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (mut checked, mut grown) = (0, 0);
+        for seed in 0..24 {
+            let cols = random_basis(seed);
+            let Some(mut f) = Factor::build(&cols) else {
+                continue;
+            };
+            let mut rng = StdRng::seed_from_u64(seed + 100);
+            let mut scratch = Scratch::default();
+            for round in 0..4 {
+                let dim = f.dim;
+                let mut rhs: Vec<Vec<f64>> = Vec::new();
+                for i in 0..dim {
+                    let mut e = vec![0.0; dim];
+                    e[i] = 1.0;
+                    rhs.push(e);
+                }
+                for col in &cols {
+                    let mut a = vec![0.0; dim];
+                    for &(i, v) in col {
+                        a[i] = v;
+                    }
+                    rhs.push(a);
+                }
+                rhs.push(
+                    (0..dim)
+                        .map(|i| if i % 5 == 2 { -0.0 } else { noise(i) - 4.0 })
+                        .collect(),
+                );
+                for v in &rhs {
+                    ftran(&f, v, &mut scratch);
+                    btran(&f, v, &mut scratch);
+                    checked += 2;
+                }
+                if round % 2 == 0 {
+                    // Pivot etas: a random sparse column replaces a position
+                    // whose pivot entry is safely away from zero.
+                    for _ in 0..3 {
+                        let mut a = vec![0.0; dim];
+                        for _ in 0..rng.gen_range(1..6) {
+                            a[rng.gen_range(0..dim)] = noise(rng.gen_range(0usize..97)) - 4.0;
+                        }
+                        let (w, pat) = ftran(&f, &a, &mut scratch);
+                        if let Some(&pos) = pat.iter().find(|&&i| w[i as usize].abs() > 0.25) {
+                            f.push_pivot(pos as usize, &w, &pat);
+                            grown += 1;
+                        }
+                    }
+                } else {
+                    // An append block of two rows over the current positions.
+                    let rows: Vec<SparseCol> = (0..2)
+                        .map(|_| {
+                            let mut row: SparseCol = (0..rng.gen_range(1..5))
+                                .map(|_| {
+                                    (
+                                        rng.gen_range(0..dim),
+                                        noise(rng.gen_range(0usize..97)) - 4.0,
+                                    )
+                                })
+                                .collect();
+                            row.sort_by_key(|e| e.0);
+                            row.dedup_by_key(|e| e.0);
+                            row
+                        })
+                        .collect();
+                    f.push_append(rows);
+                    grown += 1;
+                }
+            }
+        }
+        assert!(
+            checked > 10_000 && grown > 100,
+            "{checked} solves, {grown} updates"
+        );
+    }
+
     /// Every stream of two factors, compared by bits.
     fn assert_bit_identical(a: &Lu, b: &Lu) {
         assert_eq!((&a.row, &a.pos, a.peeled), (&b.row, &b.pos, b.peeled));
@@ -1166,16 +1766,12 @@ mod tests {
             match (Factor::build(&owned), Factor::build(&borrowed)) {
                 (Some(a), Some(b)) => {
                     assert_bit_identical(&a.lu, &b.lu);
-                    let mut scratch = Vec::new();
+                    let mut scratch = Scratch::default();
                     let v0: Vec<f64> = (0..owned.len()).map(|i| noise(i + 1) - 3.0).collect();
-                    let (mut x, mut y) = (v0.clone(), v0.clone());
-                    a.ftran(&mut x, &mut scratch);
-                    b.ftran(&mut y, &mut scratch);
-                    assert_eq!(bits(&x), bits(&y), "ftran, seed {seed}");
-                    let (mut x, mut y) = (v0.clone(), v0);
-                    a.btran(&mut x, &mut scratch);
-                    b.btran(&mut y, &mut scratch);
-                    assert_eq!(bits(&x), bits(&y), "btran, seed {seed}");
+                    let (x, y) = (ftran(&a, &v0, &mut scratch), ftran(&b, &v0, &mut scratch));
+                    assert_eq!(bits(&x.0), bits(&y.0), "ftran, seed {seed}");
+                    let (x, y) = (btran(&a, &v0, &mut scratch), btran(&b, &v0, &mut scratch));
+                    assert_eq!(bits(&x.0), bits(&y.0), "btran, seed {seed}");
                 }
                 (None, None) => {}
                 _ => panic!("seed {seed}: the two builds disagree on singularity"),

@@ -6,12 +6,19 @@
 //! Per iteration the kernel performs one BTRAN (`y = B^{-T} c_B`), a
 //! partial-pricing scan of candidate columns (`d_j = c_j - y·a_j` via
 //! sparse dots), one FTRAN (`w = B^{-1} a_q`), the ratio test, and a
-//! product-form eta update — `O(nnz)` work where the dense tableau pivot
-//! pays `O(m · n)`. A dual pivot's one BTRAN is the pivot row `rho`: the
+//! product-form eta update, where the dense tableau pivot pays
+//! `O(m · n)`. The FTRAN and BTRAN visit only the LU steps their
+//! right-hand sides reach, and return the pattern of the result (see
+//! [`crate::factor`]); the basic-value update, the eta, the ratio test
+//! and the dual loop's leaving row walk `w`'s pattern instead of every
+//! row. Two passes stay `O(m)` per primal pivot: the dense right-hand
+//! side `c_B` of `y` and the objective sum that detects a stall; a
+//! refactorization recomputes the basic values by a dense FTRAN. A dual pivot's one BTRAN is the pivot row `rho`: the
 //! dual loop keeps `y` by the rank-one update `y += (d_q / α_q) · rho`
-//! and re-derives it by BTRAN only after a refactorization; its ratio
-//! test forms `rho·a_j` only over the rows in `rho`'s support, through a
-//! row-wise copy of the matrix that each dual loop builds and drops.
+//! over `rho`'s pattern and re-derives it by BTRAN only after a
+//! refactorization; its ratio test forms `rho·a_j` only over the rows of
+//! `rho`'s pattern, through a row-wise copy of the matrix that each dual
+//! loop builds and drops.
 //! Pricing uses a cyclic candidate window with a most-negative rule and
 //! smallest-index tie-break, falling back to Bland's rule after a
 //! degenerate stall; every choice is a deterministic function of the
@@ -42,7 +49,7 @@ use std::sync::Arc;
 use lubt_obs::Recorder;
 
 use crate::certificate::{CertSeed, Certificate, ColumnRole};
-use crate::factor::Factor;
+use crate::factor::{Factor, Scratch};
 use crate::model::{Cmp, LinExpr, Model};
 use crate::simplex::{elapsed_ns, PhaseAgg, ReoptOutcome, WarmStart};
 use crate::sparse::{Lines, SparseForm};
@@ -410,7 +417,7 @@ struct Kernel {
     factor: Factor,
     x_b: Vec<f64>,
     cursor: usize,
-    scratch: Vec<f64>,
+    scratch: Scratch,
     /// BTRANs run since the last [`Kernel::flush_counts`] (`lp.btrans`).
     btrans: u64,
     /// Factor entries those BTRANs read (`lp.btran_entries`).
@@ -428,20 +435,27 @@ struct Kernel {
     /// (`lp.dual_update_entries`).
     dual_update_entries: u64,
     #[cfg(test)]
-    dual_probe: DualProbe,
+    probe: Probe,
 }
 
-/// Test-only record of the dual loop: how far each updated `y` lies
+/// Test-only record of the pivot loops: how far each updated `y` lies
 /// from a fresh BTRAN, how often a refactorization forced one, and how
-/// many candidate scans were checked against the column scan.
+/// many candidate scans, solves and leaving rows were checked against
+/// the full scans they replaced.
 #[cfg(test)]
 #[derive(Debug, Default)]
-struct DualProbe {
+struct Probe {
     /// `‖y - y_fresh‖∞ / max(1, ‖y_fresh‖∞)` after each updated pivot.
     drift: Vec<f64>,
     refreshes: usize,
     /// Row-wise candidate lists found bit-identical to the column scan.
     scans_checked: usize,
+    /// Entering-column FTRANs and `rho` BTRANs found bit-identical to the
+    /// sweep over every LU step.
+    ftrans_checked: usize,
+    btrans_checked: usize,
+    /// Leaving rows found equal to the full scan's.
+    leaving_checked: usize,
     /// Starts every dual loop on Bland's rule.
     force_bland: bool,
 }
@@ -489,7 +503,7 @@ impl Kernel {
             factor: Factor::build::<Vec<(usize, f64)>>(&[]).expect("empty factor"),
             x_b: Vec::new(),
             cursor: 0,
-            scratch: Vec::new(),
+            scratch: Scratch::default(),
             btrans: 0,
             btran_entries: 0,
             ftran_steps: 0,
@@ -498,7 +512,7 @@ impl Kernel {
             dual_scan_entries: 0,
             dual_update_entries: 0,
             #[cfg(test)]
-            dual_probe: DualProbe::default(),
+            probe: Probe::default(),
         };
         kernel.rebuild_factor().ok()?;
         Some(kernel)
@@ -542,7 +556,21 @@ impl Kernel {
             .sum()
     }
 
+    /// `w = B^{-1} a_j`: column `j` scattered into `w`, cleared first.
+    fn ftran_col(&mut self, j: usize, w: &mut WorkVec) {
+        w.clear(self.sf.m);
+        if j < self.sf.n {
+            for &(i, c) in &self.sf.cols[j] {
+                w.set(i, c);
+            }
+        } else {
+            w.set(self.art_row(j), 1.0);
+        }
+        self.ftran(&mut w.val, Some(&mut w.pat));
+    }
+
     /// Dense image of column `j` (length `m`).
+    #[cfg(test)]
     fn dense_col(&self, j: usize) -> Vec<f64> {
         let mut v = vec![0.0; self.sf.m];
         if j < self.sf.n {
@@ -564,16 +592,16 @@ impl Kernel {
         }
     }
 
-    /// `v <- B^{-1} v`, counted in `lp.ftran_steps`: every FTRAN the
-    /// kernel runs goes through here.
-    fn ftran(&mut self, v: &mut [f64]) {
-        self.ftran_steps += self.factor.ftran(v, &mut self.scratch);
+    /// `v <- B^{-1} v` ([`Factor::ftran`]), counted in `lp.ftran_steps`:
+    /// every FTRAN the kernel runs goes through here.
+    fn ftran(&mut self, v: &mut [f64], pat: Option<&mut Vec<u32>>) {
+        self.ftran_steps += self.factor.ftran(v, pat, &mut self.scratch);
     }
 
-    /// `v <- B^{-T} v`, counted in `lp.btrans`: every BTRAN the kernel
-    /// runs goes through here.
-    fn btran(&mut self, v: &mut [f64]) {
-        let (entries, steps) = self.factor.btran(v, &mut self.scratch);
+    /// `v <- B^{-T} v` ([`Factor::btran`]), counted in `lp.btrans`: every
+    /// BTRAN the kernel runs goes through here.
+    fn btran(&mut self, v: &mut [f64], pat: Option<&mut Vec<u32>>) {
+        let (entries, steps) = self.factor.btran(v, pat, &mut self.scratch);
         self.btran_entries += entries;
         self.btran_steps += steps;
         self.btrans += 1;
@@ -617,17 +645,16 @@ impl Kernel {
         for (pos, &j) in self.basis.iter().enumerate() {
             y[pos] = self.cost(j, phase1);
         }
-        self.btran(&mut y);
+        self.btran(&mut y, None);
         y
     }
 
-    /// Row `pos` of `B^{-1}`: the BTRAN of `e_pos`, so that `rho · a_j` is
-    /// row `pos` of `B^{-1} A`.
-    fn inverse_row(&mut self, pos: usize) -> Vec<f64> {
-        let mut rho = vec![0.0; self.sf.m];
-        rho[pos] = 1.0;
-        self.btran(&mut rho);
-        rho
+    /// Row `pos` of `B^{-1}` into `rho`, cleared first: the BTRAN of
+    /// `e_pos`, so that `rho · a_j` is row `pos` of `B^{-1} A`.
+    fn inverse_row(&mut self, pos: usize, rho: &mut WorkVec) {
+        rho.clear(self.sf.m);
+        rho.set(pos, 1.0);
+        self.btran(&mut rho.val, Some(&mut rho.pat));
     }
 
     /// Rebuilds the factorization from the current basis columns and
@@ -647,31 +674,33 @@ impl Kernel {
         self.factor = Factor::build(&cols)
             .ok_or_else(|| LpError::NumericalBreakdown("singular basis".to_string()))?;
         let mut x = self.sf.b.clone();
-        self.ftran(&mut x);
+        self.ftran(&mut x, None);
         self.x_b = x;
         Ok(())
     }
 
     /// Executes the basis change `basis[pos] <- enter` given the entering
     /// column's ftran image `w`, refactorizing when the eta file is long.
-    /// Returns whether it refactorized.
+    /// Only the rows of `w`'s pattern change. Returns whether it
+    /// refactorized.
     fn pivot(
         &mut self,
         pos: usize,
         enter: usize,
-        w: &[f64],
+        w: &WorkVec,
         rec: &dyn Recorder,
     ) -> Result<bool, LpError> {
         let profiling = rec.enabled();
         let t0 = profiling.then(std::time::Instant::now);
-        let t = self.x_b[pos] / w[pos];
-        for i in 0..self.sf.m {
-            if i != pos && w[i] != 0.0 {
-                self.x_b[i] -= w[i] * t;
+        let t = self.x_b[pos] / w.val[pos];
+        for &i in &w.pat {
+            let (i, wi) = (i as usize, w.val[i as usize]);
+            if i != pos && wi != 0.0 {
+                self.x_b[i] -= wi * t;
             }
         }
         self.x_b[pos] = t;
-        self.factor.push_pivot(pos, w);
+        self.factor.push_pivot(pos, &w.val, &w.pat);
         debug_assert!(enter < self.sf.n, "artificials never enter");
         let leaving = self.basis[pos];
         if leaving < self.sf.n {
@@ -754,18 +783,19 @@ impl Kernel {
     /// Candidate build for the dual ratio test: `(column, row entry,
     /// dual ratio)` per eligible column, in ascending column order.
     ///
-    /// Walks only the rows in `rho`'s support, through the row-wise copy
-    /// in `scan`. Each `α_j = rho·a_j` adds its terms in ascending row
-    /// order, as a per-column dot would; the rows it skips contribute
-    /// exact zeros, which leave a nonzero sum's bits unchanged. So every
-    /// candidate, ratio and tie-break matches the column scan.
+    /// Walks only the rows of `rho`'s pattern, ascending, through the
+    /// row-wise copy in `scan`. Each `α_j = rho·a_j` adds its terms in
+    /// ascending row order, as a per-column dot would; the rows it skips
+    /// contribute exact zeros, which leave a nonzero sum's bits unchanged.
+    /// So every candidate, ratio and tie-break matches the column scan.
     fn dual_candidates(
         &mut self,
         scan: &mut DualScan,
-        rho: &[f64],
+        rho: &WorkVec,
         y: &[f64],
     ) -> Vec<(usize, f64, f64)> {
-        for (i, &r) in rho.iter().enumerate() {
+        for &i in &rho.pat {
+            let (i, r) = (i as usize, rho.val[i as usize]);
             if r == 0.0 {
                 continue;
             }
@@ -816,13 +846,16 @@ impl Kernel {
         cands
     }
 
-    /// Leaving position by a two-pass minimum-ratio test: the first pass
-    /// finds the minimum ratio, the second admits rows within `RATIO_TOL` of
-    /// it and takes the largest pivot element (smallest basis column on
-    /// exact magnitude ties, keeping the sequence deterministic).
-    fn choose_leaving(&self, w: &[f64]) -> Option<usize> {
+    /// Leaving position by a two-pass minimum-ratio test over the `rows`
+    /// that may hold a nonzero of `w`: the first pass finds the minimum
+    /// ratio, the second admits rows within `RATIO_TOL` of it and takes the
+    /// largest pivot element (smallest basis column on exact magnitude
+    /// ties, keeping the sequence deterministic). Neither pass depends on
+    /// the order of `rows`.
+    fn choose_leaving(&self, w: &[f64], rows: &[u32]) -> Option<usize> {
         let mut theta = f64::INFINITY;
-        for i in 0..self.sf.m {
+        for &i in rows {
+            let i = i as usize;
             if w[i] > PIVOT_TOL {
                 theta = theta.min(self.x_b[i] / w[i]);
             }
@@ -832,7 +865,8 @@ impl Kernel {
         }
         let cutoff = theta + RATIO_TOL * (1.0 + theta.abs());
         let mut best: Option<usize> = None;
-        for i in 0..self.sf.m {
+        for &i in rows {
+            let i = i as usize;
             let a = w[i];
             if a > PIVOT_TOL && self.x_b[i] / a <= cutoff {
                 let better = match best {
@@ -871,6 +905,7 @@ impl Kernel {
             let mut bland = false;
             let mut stall = 0usize;
             let mut last_obj = f64::INFINITY;
+            let mut w = WorkVec::default();
             loop {
                 if *iters >= max_iterations {
                     return Err(LpError::IterationLimit {
@@ -885,12 +920,16 @@ impl Kernel {
                     return Ok(PhaseOutcome::Optimal);
                 };
                 let tf = profiling.then(std::time::Instant::now);
-                let mut w = self.dense_col(enter);
-                self.ftran(&mut w);
+                self.ftran_col(enter, &mut w);
                 if let Some(tf) = tf {
                     ftran_ns = ftran_ns.saturating_add(elapsed_ns(tf));
                 }
-                let Some(pos) = ratio.time(profiling, || self.choose_leaving(&w)) else {
+                #[cfg(test)]
+                self.probe_ftran(enter, &w);
+                let leave = ratio.time(profiling, || self.choose_leaving(&w.val, &w.pat));
+                #[cfg(test)]
+                self.probe_primal_leaving(&w, leave);
+                let Some(pos) = leave else {
                     return Ok(PhaseOutcome::Unbounded);
                 };
                 self.pivot(pos, enter, &w, rec)?;
@@ -946,7 +985,7 @@ impl Kernel {
                 1e-7 * (1.0 + max_b)
             };
             #[cfg(test)]
-            let mut bland = self.dual_probe.force_bland;
+            let mut bland = self.probe.force_bland;
             #[cfg(not(test))]
             let mut bland = false;
             let mut stall = 0usize;
@@ -954,48 +993,34 @@ impl Kernel {
             // after each refactorization, rank-one updated in between.
             let mut y: Option<Vec<f64>> = None;
             let mut scan: Option<DualScan> = None;
+            let mut leaving = Leaving::new(&self.x_b, feas_tol);
+            let (mut rho, mut w) = (WorkVec::default(), WorkVec::default());
             loop {
                 if *iters >= max_iterations {
                     return Err(LpError::IterationLimit {
                         limit: max_iterations,
                     });
                 }
-                // Leaving row: most negative basic value (Bland: smallest
-                // basis column index).
-                let mut leave: Option<(usize, f64)> = None;
-                for i in 0..self.sf.m {
-                    let v = self.x_b[i];
-                    if v < -feas_tol {
-                        let better = match leave {
-                            None => true,
-                            Some((li, lv)) => {
-                                if bland {
-                                    self.basis[i] < self.basis[li]
-                                } else {
-                                    v < lv
-                                }
-                            }
-                        };
-                        if better {
-                            leave = Some((i, v));
-                        }
-                    }
-                }
-                let Some((pos, _)) = leave else {
+                let leave = leaving.choose(&self.x_b, &self.basis, bland);
+                #[cfg(test)]
+                self.probe_dual_leaving(feas_tol, bland, leave);
+                let Some(pos) = leave else {
                     return Ok(DualOutcome::PrimalFeasible);
                 };
                 // Row pos of B^{-1}A via one BTRAN of e_pos, then the dual
                 // ratio test over negative entries. The BTRAN plus the
                 // reduced-cost scan is the dual analogue of pricing.
-                let (rho, cands) = pricing.time(profiling, || {
-                    let rho = self.inverse_row(pos);
+                let cands = pricing.time(profiling, || {
+                    self.inverse_row(pos, &mut rho);
                     let y = y.get_or_insert_with(|| self.duals(false));
                     let scan = scan.get_or_insert_with(|| DualScan::new(&self.sf));
-                    let cands = self.dual_candidates(scan, &rho, y);
-                    (rho, cands)
+                    self.dual_candidates(scan, &rho, y)
                 });
                 #[cfg(test)]
-                self.probe_dual_scan(&rho, y.as_deref().expect("derived by the scan"), &cands);
+                {
+                    self.probe_btran(pos, &rho);
+                    self.probe_dual_scan(&rho.val, y.as_deref().expect("derived"), &cands);
+                }
                 let tr = profiling.then(std::time::Instant::now);
                 let enter = if bland {
                     let mut best: Option<(usize, f64)> = None;
@@ -1041,28 +1066,34 @@ impl Kernel {
                     return Ok(DualOutcome::Infeasible { row: pos });
                 };
                 let tf = profiling.then(std::time::Instant::now);
-                let mut w = self.dense_col(enter);
-                self.ftran(&mut w);
+                self.ftran_col(enter, &mut w);
                 if let Some(tf) = tf {
                     ftran_ns = ftran_ns.saturating_add(elapsed_ns(tf));
                 }
+                #[cfg(test)]
+                self.probe_ftran(enter, &w);
                 if self.pivot(pos, enter, &w, rec)? {
                     y = None;
+                    leaving.rebuild(&self.x_b);
                     #[cfg(test)]
                     {
-                        self.dual_probe.refreshes += 1;
+                        self.probe.refreshes += 1;
                     }
-                } else if let Some(y) = y.as_mut() {
-                    // Zero the entering reduced cost: y += (d_q / α_q)·rho,
-                    // and d_q / α_q is minus the candidate's ratio d_q / -α_q.
-                    for (yi, &ri) in y.iter_mut().zip(&rho) {
-                        if ri != 0.0 {
-                            *yi -= ratio_q * ri;
-                            self.dual_update_entries += 1;
+                } else {
+                    leaving.refresh(&self.x_b, &w.pat);
+                    if let Some(y) = y.as_mut() {
+                        // Zero the entering reduced cost: y += (d_q / α_q)·rho,
+                        // and d_q / α_q is minus the candidate's ratio d_q / -α_q.
+                        for &i in &rho.pat {
+                            let (i, ri) = (i as usize, rho.val[i as usize]);
+                            if ri != 0.0 {
+                                y[i] -= ratio_q * ri;
+                                self.dual_update_entries += 1;
+                            }
                         }
+                        #[cfg(test)]
+                        self.probe_dual_drift(y);
                     }
-                    #[cfg(test)]
-                    self.probe_dual_drift(y);
                 }
                 *iters += 1;
                 stall += 1;
@@ -1092,13 +1123,77 @@ impl Kernel {
     #[cfg(test)]
     fn probe_dual_drift(&mut self, y: &[f64]) {
         let mut fresh: Vec<f64> = self.basis.iter().map(|&j| self.cost(j, false)).collect();
-        self.factor.btran(&mut fresh, &mut self.scratch);
+        self.factor.btran_by_sweep(&mut fresh);
         let norm = fresh.iter().fold(1.0f64, |a, v| a.max(v.abs()));
         let gap = y
             .iter()
             .zip(&fresh)
             .fold(0.0f64, |a, (u, v)| a.max((u - v).abs()));
-        self.dual_probe.drift.push(gap / norm);
+        self.probe.drift.push(gap / norm);
+    }
+
+    /// Checks the entering column's FTRAN against the sweep over every
+    /// LU step, bit for bit, and its pattern.
+    #[cfg(test)]
+    fn probe_ftran(&mut self, enter: usize, w: &WorkVec) {
+        let mut want = self.dense_col(enter);
+        self.factor.ftran_by_sweep(&mut want);
+        assert_eq!(
+            bits(&w.val),
+            bits(&want),
+            "FTRAN of column {enter} diverged"
+        );
+        crate::factor::assert_pattern(&w.val, &w.pat);
+        self.probe.ftrans_checked += 1;
+    }
+
+    /// Checks the BTRAN of `e_pos` against the sweep over every LU step,
+    /// bit for bit, and its pattern.
+    #[cfg(test)]
+    fn probe_btran(&mut self, pos: usize, rho: &WorkVec) {
+        let mut want = vec![0.0; self.sf.m];
+        want[pos] = 1.0;
+        self.factor.btran_by_sweep(&mut want);
+        assert_eq!(bits(&rho.val), bits(&want), "BTRAN of row {pos} diverged");
+        crate::factor::assert_pattern(&rho.val, &rho.pat);
+        self.probe.btrans_checked += 1;
+    }
+
+    /// Checks the primal leaving row, found over `w`'s pattern, against
+    /// the test over every row.
+    #[cfg(test)]
+    fn probe_primal_leaving(&mut self, w: &WorkVec, chosen: Option<usize>) {
+        let every: Vec<u32> = (0..self.sf.m as u32).collect();
+        assert_eq!(chosen, self.choose_leaving(&w.val, &every));
+        self.probe.leaving_checked += 1;
+    }
+
+    /// Checks the dual leaving row, taken from the list, against the
+    /// scan over every row the list replaced: most negative basic value
+    /// (Bland: smallest basis column index).
+    #[cfg(test)]
+    fn probe_dual_leaving(&mut self, feas_tol: f64, bland: bool, chosen: Option<usize>) {
+        let mut leave: Option<(usize, f64)> = None;
+        for i in 0..self.sf.m {
+            let v = self.x_b[i];
+            if v < -feas_tol {
+                let better = match leave {
+                    None => true,
+                    Some((li, lv)) => {
+                        if bland {
+                            self.basis[i] < self.basis[li]
+                        } else {
+                            v < lv
+                        }
+                    }
+                };
+                if better {
+                    leave = Some((i, v));
+                }
+            }
+        }
+        assert_eq!(chosen, leave.map(|l| l.0), "leaving row diverged");
+        self.probe.leaving_checked += 1;
     }
 
     /// Checks a row-wise candidate list against the column scan, bit for
@@ -1113,7 +1208,7 @@ impl Kernel {
         let reference = self.dual_candidates_by_columns(rho, y);
         assert_eq!(bits(cands), bits(&reference), "row-wise scan diverged");
         assert!(cands.iter().all(|&(j, _, _)| self.enterable(j)));
-        self.dual_probe.scans_checked += 1;
+        self.probe.scans_checked += 1;
     }
 
     /// Dual repair followed by a primal clean-up — the warm/incremental
@@ -1162,16 +1257,16 @@ impl Kernel {
     /// column is available (degenerate pivots); redundant rows keep their
     /// zero-valued artificial, which stays barred from re-entering.
     fn drive_out_artificials(&mut self, rec: &dyn Recorder) -> Result<(), LpError> {
+        let (mut rho, mut w) = (WorkVec::default(), WorkVec::default());
         for pos in 0..self.sf.m {
             if self.basis[pos] < self.sf.n {
                 continue;
             }
-            let rho = self.inverse_row(pos);
-            let replacement =
-                (0..self.sf.n).find(|&j| self.enterable(j) && self.dot_col(j, &rho).abs() > 1e-7);
+            self.inverse_row(pos, &mut rho);
+            let replacement = (0..self.sf.n)
+                .find(|&j| self.enterable(j) && self.dot_col(j, &rho.val).abs() > 1e-7);
             if let Some(j) = replacement {
-                let mut w = self.dense_col(j);
-                self.ftran(&mut w);
+                self.ftran_col(j, &mut w);
                 self.pivot(pos, j, &w, rec)?;
             }
         }
@@ -1193,6 +1288,109 @@ impl Kernel {
         let duals = Some(self.sf.recover_duals(&y));
         (x, objective, duals)
     }
+}
+
+/// A dense work vector with its pattern: `pat` lists, without repeats,
+/// every index whose entry may be anything but `+0.0` (see
+/// [`Factor::ftran`]).
+#[derive(Debug, Default)]
+struct WorkVec {
+    val: Vec<f64>,
+    pat: Vec<u32>,
+}
+
+impl WorkVec {
+    /// Zeroes the listed entries and sizes the vector to `n`, all `+0.0`.
+    fn clear(&mut self, n: usize) {
+        for &i in &self.pat {
+            self.val[i as usize] = 0.0;
+        }
+        self.pat.clear();
+        self.val.resize(n, 0.0);
+    }
+
+    /// Sets unlisted entry `i`, which holds `+0.0`, to `x`.
+    fn set(&mut self, i: usize, x: f64) {
+        debug_assert_eq!(self.val[i].to_bits(), 0);
+        self.val[i] = x;
+        self.pat.push(i as u32);
+    }
+}
+
+/// The dual loop's leaving candidates: every row whose basic value lies
+/// below `-tol`. A pivot changes only the rows of the entering column's
+/// pattern, so the list is refreshed from that pattern and rebuilt by a
+/// scan of every row only after a refactorization recomputes `x_b`.
+struct Leaving {
+    tol: f64,
+    rows: Vec<u32>,
+    listed: Vec<bool>,
+}
+
+impl Leaving {
+    fn new(x_b: &[f64], tol: f64) -> Leaving {
+        let mut leaving = Leaving {
+            tol,
+            rows: Vec::new(),
+            listed: vec![false; x_b.len()],
+        };
+        leaving.rebuild(x_b);
+        leaving
+    }
+
+    /// Lists every row below `-tol`.
+    fn rebuild(&mut self, x_b: &[f64]) {
+        self.rows.clear();
+        self.listed.fill(false);
+        self.refresh_rows(x_b, 0..x_b.len() as u32);
+    }
+
+    /// Lists the rows of `pat` that fell below `-tol`.
+    fn refresh(&mut self, x_b: &[f64], pat: &[u32]) {
+        self.refresh_rows(x_b, pat.iter().copied());
+    }
+
+    fn refresh_rows(&mut self, x_b: &[f64], rows: impl Iterator<Item = u32>) {
+        for i in rows {
+            if x_b[i as usize] < -self.tol && !self.listed[i as usize] {
+                self.listed[i as usize] = true;
+                self.rows.push(i);
+            }
+        }
+    }
+
+    /// The leaving row: the most negative basic value, the smallest row
+    /// on ties (Bland: the smallest basis column). Drops the rows that
+    /// are no longer below `-tol`.
+    fn choose(&mut self, x_b: &[f64], basis: &[usize], bland: bool) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        let mut at = 0;
+        while at < self.rows.len() {
+            let i = self.rows[at] as usize;
+            let v = x_b[i];
+            if v < -self.tol {
+                let better = match best {
+                    None => true,
+                    Some(b) if bland => basis[i] < basis[b],
+                    Some(b) => v < x_b[b] || (v == x_b[b] && i < b),
+                };
+                if better {
+                    best = Some(i);
+                }
+                at += 1;
+            } else {
+                self.listed[i] = false;
+                self.rows.swap_remove(at);
+            }
+        }
+        best
+    }
+}
+
+/// The bits of every entry, for exact comparisons.
+#[cfg(test)]
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// A combined-and-sorted appended row: coefficients over shifted
@@ -1420,7 +1618,7 @@ impl RevisedSession {
         // Recompute the basic values through the extended operator chain
         // (the old positions are untouched by construction).
         let mut x = kernel.sf.b.clone();
-        kernel.ftran(&mut x);
+        kernel.ftran(&mut x, None);
         kernel.x_b = x;
 
         let mut iters = self.solution.iterations();
@@ -1779,7 +1977,7 @@ mod tests {
             inc.objective(),
             cold.objective()
         );
-        let probe = &session.kernel.as_ref().unwrap().dual_probe;
+        let probe = &session.kernel.as_ref().unwrap().probe;
         assert!(probe.refreshes >= 2, "{probe:?}");
         // Every dual pivot either refactorized (and re-derived y) or was
         // checked against a fresh BTRAN.
@@ -1838,10 +2036,14 @@ mod tests {
         let (slack0, slack1) = (sf.slack_col[0], sf.slack_col[1]);
         let mut kernel = Kernel::from_basis(sf, vec![0, slack1]).unwrap();
         let mut scan = DualScan::new(&kernel.sf);
-        let (rho, y) = ([-1.0, -0.5], [0.25, 0.0]);
+        let rho = WorkVec {
+            val: vec![-1.0, -0.5],
+            pat: vec![0, 1],
+        };
+        let y = [0.25, 0.0];
         for _ in 0..2 {
             let cands = kernel.dual_candidates(&mut scan, &rho, &y);
-            assert_eq!(cands, kernel.dual_candidates_by_columns(&rho, &y));
+            assert_eq!(cands, kernel.dual_candidates_by_columns(&rho.val, &y));
             let cols: Vec<usize> = cands.iter().map(|c| c.0).collect();
             assert_eq!(cols, vec![1, 3, slack0]);
             assert!(scan.alpha.iter().all(|&a| a == 0.0), "{:?}", scan.alpha);
@@ -1854,13 +2056,18 @@ mod tests {
     /// Random covering sessions grown by several batches of appended rows,
     /// each batch repaired by the dual simplex. Every dual pivot checks
     /// its row-wise candidates against the column scan
-    /// ([`Kernel::probe_dual_scan`]); every third session runs its dual
-    /// loops on Bland's rule from the first pivot.
+    /// ([`Kernel::probe_dual_scan`]), and every pivot its entering-column
+    /// FTRAN, its `rho` BTRAN and its leaving row against the sweeps and
+    /// scans they replaced ([`Kernel::probe_ftran`],
+    /// [`Kernel::probe_btran`], [`Kernel::probe_dual_leaving`],
+    /// [`Kernel::probe_primal_leaving`]); every third session runs its
+    /// dual loops on Bland's rule from the first pivot.
     #[test]
     fn row_wise_dual_candidates_match_the_column_scan() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         const VALUES: [f64; 6] = [1.0, 2.0, 0.5, 3.0, -1.0, -0.5];
         let (mut checked, mut bland_checked) = (0, 0);
+        let (mut ftrans, mut btrans, mut leaving) = (0, 0, 0);
         for seed in 0..12u64 {
             let force_bland = seed % 3 == 0;
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1889,15 +2096,18 @@ mod tests {
                     session.add_constraint(e, Cmp::Ge, rhs).unwrap();
                 }
                 if let Some(k) = session.kernel.as_mut() {
-                    k.dual_probe.force_bland = force_bland;
+                    k.probe.force_bland = force_bland;
                 }
                 session.resolve().unwrap();
-                let probe = &mut session.kernel.as_mut().unwrap().dual_probe;
+                let probe = &mut session.kernel.as_mut().unwrap().probe;
                 let scans = std::mem::take(&mut probe.scans_checked);
                 checked += scans;
                 if force_bland {
                     bland_checked += scans;
                 }
+                ftrans += std::mem::take(&mut probe.ftrans_checked);
+                btrans += std::mem::take(&mut probe.btrans_checked);
+                leaving += std::mem::take(&mut probe.leaving_checked);
             }
             let inc = session.solution();
             let cold = SimplexSolver::new().solve(&base).unwrap();
@@ -1915,6 +2125,13 @@ mod tests {
         assert!(
             checked > 100 && bland_checked > 20,
             "{checked} / {bland_checked}"
+        );
+        // One BTRAN per dual pivot; one FTRAN and one leaving row per
+        // pivot, plus the leaving scan that finds the basis feasible.
+        assert_eq!(btrans, checked);
+        assert!(
+            ftrans >= checked && leaving > ftrans,
+            "{ftrans} / {leaving}"
         );
     }
 
