@@ -1508,7 +1508,7 @@ impl RevisedSession {
             Some(k) => &k.sf.shift,
             None => &self.model.lower,
         };
-        let mut combined: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
+        let mut terms = Vec::with_capacity(expr.terms().len());
         let mut shifted_rhs = rhs;
         for &(v, c) in expr.terms() {
             if v.index() >= self.model.num_vars() {
@@ -1523,12 +1523,10 @@ impl RevisedSession {
                     value: c,
                 });
             }
-            *combined.entry(v.index()).or_insert(0.0) += c;
+            terms.push((v.index(), c));
             shifted_rhs -= c * shift[v.index()];
         }
-        let mut terms: Vec<(usize, f64)> =
-            combined.into_iter().filter(|&(_, c)| c != 0.0).collect();
-        terms.sort_by_key(|&(i, _)| i);
+        crate::sparse::combine(&mut terms);
         self.model.add_constraint(expr, cmp, rhs);
         self.pending.push((terms, cmp, shifted_rhs));
         Ok(())
@@ -2165,6 +2163,44 @@ mod tests {
             .solve(&m)
             .unwrap_err();
         assert!(matches!(err, LpError::IterationLimit { limit: 1 }));
+    }
+
+    #[test]
+    fn duplicate_and_cancelling_terms_in_appended_rows_combine() {
+        let mut base = Model::new();
+        let v = base.add_vars(3, 0.0, 1.0);
+        base.add_constraint(expr(&[(v[0], 1.0), (v[1], 1.0), (v[2], 1.0)]), Cmp::Ge, 2.0);
+        let mut session = RevisedSession::start(base.clone()).unwrap();
+        // x0 + 2 x0 >= 9, i.e. x0 >= 3; x1 - x1 + x2 >= 1, where x1
+        // cancels; 0.5 x2 + 0.25 x1 + 0.5 x2 <= 4.
+        let rows = [
+            (expr(&[(v[0], 1.0), (v[0], 2.0)]), Cmp::Ge, 9.0),
+            (
+                expr(&[(v[1], 1.0), (v[2], 1.0), (v[1], -1.0)]),
+                Cmp::Ge,
+                1.0,
+            ),
+            (
+                expr(&[(v[2], 0.5), (v[1], 0.25), (v[2], 0.5)]),
+                Cmp::Le,
+                4.0,
+            ),
+        ];
+        for (e, cmp, rhs) in rows {
+            base.add_constraint(e.clone(), cmp, rhs);
+            session.add_constraint(e, cmp, rhs).unwrap();
+        }
+        let inc = session.resolve().unwrap().clone();
+        for cold in [
+            RevisedSolver::new().solve(&base).unwrap(),
+            SimplexSolver::new().solve(&base).unwrap(),
+        ] {
+            assert_eq!(inc.status(), cold.status());
+            assert!((inc.objective() - cold.objective()).abs() < 1e-9);
+        }
+        assert!((inc.objective() - 4.0).abs() < 1e-9, "{}", inc.objective());
+        assert!((inc.value(v[0]) - 3.0).abs() < 1e-9);
+        assert!(base.check_feasible(inc.values(), 1e-9).is_ok());
     }
 
     #[test]

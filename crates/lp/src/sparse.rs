@@ -114,8 +114,9 @@ pub(crate) struct SparseForm {
 }
 
 /// Sorts terms by column and combines duplicates (dropping exact zeros),
-/// mirroring the `+=` accumulation of the dense builder.
-fn combine(terms: &mut Vec<(usize, f64)>) {
+/// mirroring the `+=` accumulation of the dense builder. The sort is
+/// stable, so each column's terms are summed in the order given.
+pub(crate) fn combine(terms: &mut Vec<(usize, f64)>) {
     terms.sort_by_key(|&(j, _)| j);
     let mut out = 0usize;
     let mut i = 0usize;
