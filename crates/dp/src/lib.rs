@@ -10,7 +10,7 @@
 //! This crate solves the same problem along a completely independent
 //! path, in three stages, all exact:
 //!
-//! 1. **Interval DP** ([`mod@intervals`]): bottom-up/top-down dynamic
+//! 1. **Interval DP** (the `intervals` module): bottom-up/top-down dynamic
 //!    programming over per-node feasible delay intervals on the fixed
 //!    topology. Empty interval ⇒ exact infeasibility; pinched interval ⇒
 //!    the node's delay is fixed on the whole feasible set.
@@ -18,7 +18,7 @@
 //!    out, and separation rows already implied by the kept sink windows
 //!    are pruned — soundly, using only constraints that remain in the
 //!    system.
-//! 3. **Exact rational core** ([`mod@simplex`]): the reduced edge-length
+//! 3. **Exact rational core** (the `simplex` module): the reduced edge-length
 //!    system goes through a fraction-free (integer-pivoting) dual simplex
 //!    with Bland's rule — BigInt arithmetic end to end, every pivot
 //!    division exact, termination guaranteed.

@@ -5,8 +5,8 @@
 //! fetched. This shim keeps all existing `proptest! { ... }` test modules
 //! source-compatible:
 //!
-//! * [`Strategy`] with `prop_map`, implemented for numeric ranges, tuples
-//!   of strategies, and [`collection::vec`];
+//! * [`strategy::Strategy`] with `prop_map`, implemented for numeric
+//!   ranges, tuples of strategies, and [`collection::vec`];
 //! * the [`proptest!`] macro (including `#![proptest_config(...)]`),
 //!   [`prop_assert!`], [`prop_assert_eq!`] and [`prop_assume!`];
 //! * [`test_runner::ProptestConfig`] with `with_cases`.
@@ -26,7 +26,7 @@ pub mod collection {
     use crate::strategy::{Strategy, VecStrategy};
     use std::ops::Range;
 
-    /// Number of elements a [`vec`] strategy may generate.
+    /// Number of elements a [`vec()`] strategy may generate.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         pub(crate) min: usize,
