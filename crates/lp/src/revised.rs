@@ -13,12 +13,12 @@
 //! and the dual loop's leaving row walk `w`'s pattern instead of every
 //! row. Two passes stay `O(m)` per primal pivot: the dense right-hand
 //! side `c_B` of `y` and the objective sum that detects a stall; a
-//! refactorization recomputes the basic values by a dense FTRAN. A dual pivot's one BTRAN is the pivot row `rho`: the
-//! dual loop keeps `y` by the rank-one update `y += (d_q / α_q) · rho`
-//! over `rho`'s pattern and re-derives it by BTRAN only after a
-//! refactorization; its ratio test forms `rho·a_j` only over the rows of
-//! `rho`'s pattern, through a row-wise copy of the matrix that each dual
-//! loop builds and drops.
+//! refactorization recomputes the basic values by a dense FTRAN. A dual
+//! pivot's one BTRAN is the pivot row `rho`: the dual loop keeps `y` by
+//! the rank-one update `y += (d_q / α_q) · rho` over `rho`'s pattern and
+//! re-derives it by BTRAN only after a refactorization; its ratio test
+//! forms `rho·a_j` only over the rows of `rho`'s pattern, through a
+//! row-wise copy of the matrix that each dual loop builds and drops.
 //! Pricing uses a cyclic candidate window with a most-negative rule and
 //! smallest-index tie-break, falling back to Bland's rule after a
 //! degenerate stall; every choice is a deterministic function of the
