@@ -569,8 +569,8 @@ impl Lu {
             marked
         });
         // The peeled steps: first those of the right-hand side, still
-        // marked, in step order, then the listed rows. Kernel rows on the
-        // list were finished by the walk.
+        // marked, then the listed rows. Kernel rows on the list were
+        // finished by the walk.
         let mut finish = |k: usize, s: f64| {
             let p = self.pos[k] as usize;
             x[p] = s / self.diag[k];

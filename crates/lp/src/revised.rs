@@ -2013,6 +2013,14 @@ mod tests {
             pivots + allowance
         );
         assert!(t.counter("lp.factor_nnz") > 0, "{t:?}");
+        // The solves visit LU steps; every dual pivot that kept `y`
+        // applied at least `rho`'s pivot entry.
+        assert!(t.counter("lp.ftran_steps") > 0, "{t:?}");
+        assert!(t.counter("lp.btran_steps") > 0, "{t:?}");
+        let kept = t
+            .counter("lp.dual_pivots")
+            .saturating_sub(t.counter("lp.refactorizations"));
+        assert!(t.counter("lp.dual_update_entries") >= kept, "{t:?}");
         let scan_columns = t.counter("lp.dual_scan_columns");
         assert!(scan_columns > 0, "{t:?}");
         assert!(t.counter("lp.dual_scan_entries") >= scan_columns, "{t:?}");
