@@ -1,6 +1,6 @@
 //! Re-solve strategies for a growing LP (the lazy-separation pattern):
-//! cold two-phase solves each round, warm basis reconstruction
-//! (`solve_warm`), and the incremental tableau session (`SimplexSession`).
+//! cold two-phase solves each round against the incremental tableau
+//! session (`SimplexSession`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lubt_lp::{Cmp, LinExpr, LpSolve, Model, SimplexSession, SimplexSolver, Var};
@@ -55,24 +55,6 @@ fn bench_growth(c: &mut Criterion) {
                         m.add_constraint(e, Cmp::Ge, *rhs);
                     }
                     last = solver.solve(&m).unwrap().objective();
-                }
-                last
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("warm_reconstruct", n), &n, |bench, &n| {
-            bench.iter(|| {
-                let (mut m, vars, batches) = schedule(n, rounds, per_round);
-                let solver = SimplexSolver::new();
-                let (sol, mut warm) = solver.solve_warm(&m, None).unwrap();
-                let mut last = sol.objective();
-                for batch in &batches {
-                    for (cols, rhs) in batch {
-                        let e = LinExpr::from_terms(cols.iter().map(|&c| (vars[c], 1.0)));
-                        m.add_constraint(e, Cmp::Ge, *rhs);
-                    }
-                    let (sol, next) = solver.solve_warm(&m, warm.as_ref()).unwrap();
-                    last = sol.objective();
-                    warm = next;
                 }
                 last
             })

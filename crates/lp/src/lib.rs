@@ -10,12 +10,16 @@
 //!   which `lubt-core`'s `SolverBackend::default()` selects.
 //! * [`SimplexSolver`] — a two-phase dense-tableau primal simplex with
 //!   Dantzig pricing and an automatic switch to Bland's anti-cycling rule,
-//!   sharing the revised backend's pivot rules, exact
-//!   infeasibility/unboundedness certificates and [`WarmStart`] token
-//!   format; O(m·n) per pivot, a second float code for cross-checks.
+//!   sharing the revised backend's pivot rules and exact
+//!   infeasibility/unboundedness certificates; O(m·n) per pivot, a second
+//!   float code for cross-checks.
 //!
 //! Problems are described with the [`Model`] builder and solved through the
-//! [`LpSolve`] trait.
+//! [`LpSolve`] trait: `solve` for the solution alone, `solve_certified` on
+//! either solver for the solution with its [`Certificate`]. A model that only
+//! grows by appended inequality rows — the EBF's lazy Steiner rows (§4.6) —
+//! is re-solved by a session, [`RevisedSession`] or [`SimplexSession`],
+//! which keeps the optimal basis and repairs it with the dual simplex.
 //!
 //! # Example
 //!
@@ -42,9 +46,7 @@ mod certificate;
 mod error;
 mod factor;
 mod linalg;
-mod lp_format;
 mod model;
-mod presolve;
 mod revised;
 mod session;
 mod simplex;
@@ -54,12 +56,10 @@ mod standard;
 
 pub use certificate::{Certificate, ColumnRole, FarkasCertificate, OptimalityCertificate};
 pub use error::LpError;
-pub use lp_format::write_lp;
 pub use model::{Cmp, LinExpr, Model, Var};
-pub use presolve::{presolve, Presolved};
 pub use revised::{RevisedSession, RevisedSolver};
 pub use session::SimplexSession;
-pub use simplex::{SimplexSolver, WarmStart};
+pub use simplex::SimplexSolver;
 pub use solution::{Solution, Status};
 
 /// Absolute feasibility tolerance used by both solvers on the (scaled)
@@ -69,8 +69,8 @@ pub const FEAS_EPS: f64 = 1e-7;
 /// Solver-agnostic interface: every LP algorithm in this crate consumes a
 /// [`Model`] and produces a [`Solution`].
 ///
-/// The trait is object-safe so harnesses can switch solvers at run time
-/// (see the `ablation_solver` benchmarks).
+/// The trait is object-safe, so a caller can pick the solver at run time
+/// and hold it as a `&dyn LpSolve`.
 pub trait LpSolve {
     /// Solves the model to proven optimality (or detects infeasibility /
     /// unboundedness, when the algorithm can certify it).

@@ -51,7 +51,7 @@ use lubt_obs::Recorder;
 use crate::certificate::{CertSeed, Certificate, ColumnRole};
 use crate::factor::{Factor, Scratch};
 use crate::model::{Cmp, LinExpr, Model};
-use crate::simplex::{elapsed_ns, PhaseAgg, ReoptOutcome, WarmStart};
+use crate::simplex::{elapsed_ns, PhaseAgg, ReoptOutcome, STALL_LIMIT};
 use crate::sparse::{Lines, SparseForm};
 use crate::{LpError, LpSolve, Solution, Status};
 
@@ -85,7 +85,6 @@ const PRICE_WINDOW_MIN: usize = 64;
 #[derive(Debug, Clone)]
 pub struct RevisedSolver {
     max_iterations: usize,
-    stall_limit: usize,
     recorder: Arc<dyn Recorder>,
 }
 
@@ -93,7 +92,6 @@ impl Default for RevisedSolver {
     fn default() -> Self {
         RevisedSolver {
             max_iterations: 200_000,
-            stall_limit: 1_000,
             recorder: lubt_obs::noop(),
         }
     }
@@ -109,14 +107,6 @@ impl RevisedSolver {
     #[must_use]
     pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
         self.max_iterations = max_iterations;
-        self
-    }
-
-    /// Sets the number of consecutive non-improving pivots tolerated before
-    /// switching to Bland's rule (default 1 000).
-    #[must_use]
-    pub fn with_stall_limit(mut self, stall_limit: usize) -> Self {
-        self.stall_limit = stall_limit;
         self
     }
 
@@ -148,95 +138,6 @@ impl RevisedSolver {
         );
     }
 
-    /// Solves, optionally starting from a previous optimal basis — the
-    /// revised-form counterpart of
-    /// [`crate::SimplexSolver::solve_warm`], accepting the **same**
-    /// [`WarmStart`] tokens (both backends number standard-form columns
-    /// identically).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`LpSolve::solve`].
-    pub fn solve_warm(
-        &self,
-        model: &Model,
-        warm: Option<&WarmStart>,
-    ) -> Result<(Solution, Option<WarmStart>), LpError> {
-        if let Some(w) = warm {
-            model.validate()?;
-            let sf = SparseForm::build(model);
-            if let Some(result) = self.try_warm(model, sf, w)? {
-                return Ok(result);
-            }
-        }
-        self.solve_full(model).map(|(s, w, _, _)| (s, w))
-    }
-
-    /// Attempts the warm path; `Ok(None)` means "fall back to cold".
-    fn try_warm(
-        &self,
-        model: &Model,
-        sf: SparseForm,
-        warm: &WarmStart,
-    ) -> Result<Option<(Solution, Option<WarmStart>)>, LpError> {
-        if warm.num_vars != model.num_vars() || warm.num_rows > sf.m || sf.m == 0 {
-            return Ok(None);
-        }
-        let mut basis = warm.basis.clone();
-        if basis.len() != warm.num_rows || basis.iter().any(|&c| c >= sf.n) {
-            return Ok(None);
-        }
-        for i in warm.num_rows..sf.m {
-            let sc = sf.slack_col[i];
-            if sc == usize::MAX {
-                return Ok(None); // appended equality row: no slack to seed
-            }
-            basis.push(sc);
-        }
-        let Some(mut kernel) = Kernel::from_basis(sf, basis) else {
-            return Ok(None); // singular basis
-        };
-        // Verify dual feasibility of the token's basis; noisy tokens fall
-        // back to a cold solve, like the dense path.
-        let dual_tol = 1e-7 * (1.0 + kernel.sf.c.iter().fold(0.0f64, |a, &c| a.max(c.abs())));
-        let y = kernel.duals(false);
-        kernel.flush_counts(&*self.recorder);
-        for j in 0..kernel.sf.n {
-            if kernel.cost(j, false) - kernel.dot_col(j, &y) < -dual_tol {
-                return Ok(None);
-            }
-        }
-
-        let mut iters = 0usize;
-        match kernel.dual_then_primal(
-            &mut iters,
-            self.max_iterations,
-            self.stall_limit,
-            &*self.recorder,
-        )? {
-            ReoptOutcome::Infeasible { .. } => {
-                self.note_solve(iters);
-                return Ok(Some((Solution::infeasible(model.num_vars(), iters), None)));
-            }
-            ReoptOutcome::Unbounded => {
-                self.note_solve(iters);
-                return Ok(Some((Solution::unbounded(model.num_vars(), iters), None)));
-            }
-            ReoptOutcome::Optimal => {}
-        }
-        let (x, objective, duals) = kernel.extract(model, &*self.recorder);
-        let next = WarmStart {
-            basis: kernel.basis.clone(),
-            num_vars: model.num_vars(),
-            num_rows: kernel.sf.m,
-        };
-        self.note_solve(iters);
-        Ok(Some((
-            Solution::new(Status::Optimal, x, objective, duals, iters),
-            Some(next),
-        )))
-    }
-
     /// Like [`LpSolve::solve`], additionally materializing the certificate
     /// of the outcome: optimality duals when optimal, a Farkas ray when
     /// infeasible, `None` when unbounded or the basis cannot be factorized.
@@ -248,36 +149,20 @@ impl RevisedSolver {
         &self,
         model: &Model,
     ) -> Result<(Solution, Option<Certificate>), LpError> {
-        let (solution, _, _, seed) = self.solve_full(model)?;
+        let (solution, _, seed) = self.solve_full(model)?;
         let cert = seed
             .as_ref()
             .and_then(|s| crate::certificate::compute(model, s));
         Ok((solution, cert))
     }
 
-    /// Like [`LpSolve::solve`], additionally handing back the live kernel
-    /// for incremental growth (see [`RevisedSession`]).
-    #[allow(clippy::type_complexity)]
-    fn solve_keeping_kernel(
-        &self,
-        model: &Model,
-    ) -> Result<(Solution, Option<Kernel>, Option<CertSeed>), LpError> {
-        self.solve_full(model).map(|(s, _, k, seed)| (s, k, seed))
-    }
-
-    #[allow(clippy::type_complexity)]
+    /// Solves `model`, handing back with the solution the live kernel for
+    /// incremental growth (see [`RevisedSession`]; `None` unless optimal)
+    /// and the certificate seed of the outcome.
     fn solve_full(
         &self,
         model: &Model,
-    ) -> Result<
-        (
-            Solution,
-            Option<WarmStart>,
-            Option<Kernel>,
-            Option<CertSeed>,
-        ),
-        LpError,
-    > {
+    ) -> Result<(Solution, Option<Kernel>, Option<CertSeed>), LpError> {
         model.validate()?;
         let sf = SparseForm::build(model);
         let m = sf.m;
@@ -286,14 +171,13 @@ impl RevisedSolver {
         // unless a negative cost makes the LP unbounded.
         if m == 0 {
             if model.costs.iter().any(|&c| c < -COST_TOL) {
-                return Ok((Solution::unbounded(model.num_vars(), 0), None, None, None));
+                return Ok((Solution::unbounded(model.num_vars(), 0), None, None));
             }
             let x = sf.recover(&vec![0.0; sf.n]);
             let obj = model.objective_value(&x);
             let kernel = Kernel::from_basis(sf, Vec::new()).expect("empty basis is nonsingular");
             return Ok((
                 Solution::new(Status::Optimal, x, obj, Some(vec![]), 0),
-                None,
                 Some(kernel),
                 Some(CertSeed::Optimal(Vec::new())),
             ));
@@ -322,7 +206,7 @@ impl RevisedSolver {
 
         // ---- Phase 1: minimize the artificial sum. ----
         if n_art > 0 {
-            match kernel.primal(true, &mut iters, self.max_iterations, self.stall_limit, rec)? {
+            match kernel.primal(true, &mut iters, self.max_iterations, rec)? {
                 PhaseOutcome::Optimal => {}
                 PhaseOutcome::Unbounded => {
                     // Phase-1 objective is bounded below by 0; cannot happen.
@@ -336,7 +220,6 @@ impl RevisedSolver {
                 return Ok((
                     Solution::infeasible(model.num_vars(), iters),
                     None,
-                    None,
                     Some(seed),
                 ));
             }
@@ -344,38 +227,17 @@ impl RevisedSolver {
         }
 
         // ---- Phase 2: true objective. ----
-        match kernel.primal(
-            false,
-            &mut iters,
-            self.max_iterations,
-            self.stall_limit,
-            rec,
-        )? {
+        match kernel.primal(false, &mut iters, self.max_iterations, rec)? {
             PhaseOutcome::Unbounded => {
                 self.note_solve(iters);
-                Ok((
-                    Solution::unbounded(model.num_vars(), iters),
-                    None,
-                    None,
-                    None,
-                ))
+                Ok((Solution::unbounded(model.num_vars(), iters), None, None))
             }
             PhaseOutcome::Optimal => {
                 let (x, objective, duals) = kernel.extract(model, rec);
-                let warm = kernel
-                    .basis
-                    .iter()
-                    .all(|&c| c < kernel.sf.n)
-                    .then(|| WarmStart {
-                        basis: kernel.basis.clone(),
-                        num_vars: model.num_vars(),
-                        num_rows: kernel.sf.m,
-                    });
                 self.note_solve(iters);
                 let seed = CertSeed::Optimal(kernel.roles());
                 Ok((
                     Solution::new(Status::Optimal, x, objective, duals, iters),
-                    warm,
                     Some(kernel),
                     Some(seed),
                 ))
@@ -386,7 +248,7 @@ impl RevisedSolver {
 
 impl LpSolve for RevisedSolver {
     fn solve(&self, model: &Model) -> Result<Solution, LpError> {
-        self.solve_full(model).map(|(s, _, _, _)| s)
+        self.solve_full(model).map(|(s, _, _)| s)
     }
 }
 
@@ -887,7 +749,6 @@ impl Kernel {
         phase1: bool,
         iters: &mut usize,
         max_iterations: usize,
-        stall_limit: usize,
         rec: &dyn Recorder,
     ) -> Result<PhaseOutcome, LpError> {
         let start = *iters;
@@ -941,7 +802,7 @@ impl Kernel {
                 } else {
                     degenerate += 1;
                     stall += 1;
-                    if stall > stall_limit && !bland {
+                    if stall > STALL_LIMIT && !bland {
                         bland = true;
                         activations += 1;
                     }
@@ -1097,7 +958,7 @@ impl Kernel {
                 }
                 *iters += 1;
                 stall += 1;
-                if stall > 1_000 && !bland {
+                if stall > STALL_LIMIT && !bland {
                     bland = true;
                     activations += 1;
                 }
@@ -1211,20 +1072,19 @@ impl Kernel {
         self.probe.scans_checked += 1;
     }
 
-    /// Dual repair followed by a primal clean-up — the warm/incremental
+    /// Dual repair followed by a primal clean-up — the incremental
     /// re-optimization.
     fn dual_then_primal(
         &mut self,
         iters: &mut usize,
         max_iterations: usize,
-        stall_limit: usize,
         rec: &dyn Recorder,
     ) -> Result<ReoptOutcome, LpError> {
         match self.dual(iters, max_iterations, rec)? {
             DualOutcome::Infeasible { row } => return Ok(ReoptOutcome::Infeasible { row }),
             DualOutcome::PrimalFeasible => {}
         }
-        match self.primal(false, iters, max_iterations, stall_limit, rec)? {
+        match self.primal(false, iters, max_iterations, rec)? {
             PhaseOutcome::Unbounded => Ok(ReoptOutcome::Unbounded),
             PhaseOutcome::Optimal => Ok(ReoptOutcome::Optimal),
         }
@@ -1427,7 +1287,6 @@ pub struct RevisedSession {
     pending: Vec<PendingRow>,
     solution: Solution,
     max_iterations: usize,
-    stall_limit: usize,
     recorder: Arc<dyn Recorder>,
     infeasible: bool,
     /// Seed of the certificate for the most recent (re)solve outcome.
@@ -1451,7 +1310,7 @@ impl RevisedSession {
     ///
     /// Same contract as [`crate::SimplexSession::start`].
     pub fn start_with(model: Model, solver: RevisedSolver) -> Result<Self, LpError> {
-        let (solution, kernel, cert_seed) = solver.solve_keeping_kernel(&model)?;
+        let (solution, kernel, cert_seed) = solver.solve_full(&model)?;
         let infeasible = solution.status() != Status::Optimal;
         Ok(RevisedSession {
             model,
@@ -1459,7 +1318,6 @@ impl RevisedSession {
             pending: Vec::new(),
             solution,
             max_iterations: solver.max_iterations(),
-            stall_limit: solver.stall_limit,
             recorder: Arc::clone(solver.recorder()),
             infeasible,
             cert_seed,
@@ -1561,9 +1419,8 @@ impl RevisedSession {
             }
             let solver = RevisedSolver::new()
                 .with_max_iterations(self.max_iterations)
-                .with_stall_limit(self.stall_limit)
                 .with_recorder(Arc::clone(&self.recorder));
-            let (solution, kernel, cert_seed) = solver.solve_keeping_kernel(&self.model)?;
+            let (solution, kernel, cert_seed) = solver.solve_full(&self.model)?;
             self.infeasible = solution.status() != Status::Optimal;
             self.solution = solution;
             self.kernel = kernel;
@@ -1623,12 +1480,7 @@ impl RevisedSession {
         if self.recorder.enabled() {
             self.recorder.incr("lp.resolves", 1);
         }
-        let status = kernel.dual_then_primal(
-            &mut iters,
-            self.max_iterations,
-            self.stall_limit,
-            &*self.recorder,
-        )?;
+        let status = kernel.dual_then_primal(&mut iters, self.max_iterations, &*self.recorder)?;
         if self.recorder.enabled() {
             self.recorder.record_max("lp.peak_pivots", iters as u64);
             self.recorder.gauge(
@@ -1799,28 +1651,6 @@ mod tests {
         let s = RevisedSolver::new().solve(&m).unwrap();
         assert!(s.is_optimal());
         assert!((s.objective() - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn warm_start_tokens_transfer_between_backends() {
-        let mut m = Model::new();
-        let x = m.add_var(0.0, 1.0);
-        let y = m.add_var(0.0, 1.0);
-        m.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Cmp::Ge, 4.0);
-        // Dense-produced token consumed by the revised solver...
-        let (s1, warm) = SimplexSolver::new().solve_warm(&m, None).unwrap();
-        assert!(s1.is_optimal());
-        let warm = warm.expect("optimal basis yields a token");
-        m.add_constraint(expr(&[(x, 1.0)]), Cmp::Ge, 3.0);
-        let (s2, warm2) = RevisedSolver::new().solve_warm(&m, Some(&warm)).unwrap();
-        assert!(s2.is_optimal());
-        assert!((s2.objective() - 4.0).abs() < 1e-7);
-        // ...and the revised token consumed by the dense solver.
-        let warm2 = warm2.expect("optimal basis yields a token");
-        m.add_constraint(expr(&[(y, 1.0)]), Cmp::Ge, 1.5);
-        let (s3, _) = SimplexSolver::new().solve_warm(&m, Some(&warm2)).unwrap();
-        assert!(s3.is_optimal());
-        assert!((s3.objective() - 4.5).abs() < 1e-7);
     }
 
     #[test]

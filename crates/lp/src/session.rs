@@ -4,9 +4,8 @@
 //!
 //! Appending a row to an optimal tableau is O(nnz · width): eliminate the
 //! basic variables from the raw row, seed it with its own slack, and run
-//! the dual simplex until primal feasibility returns. Unlike
-//! [`crate::SimplexSolver::solve_warm`] (which rebuilds the tableau from a
-//! basis in O(m²n)), the session never recomputes what it already knows.
+//! the dual simplex until primal feasibility returns. The session never
+//! rebuilds the tableau it already holds.
 
 // Index-based loops are the natural idiom for the dense kernels here.
 #![allow(clippy::needless_range_loop)]
@@ -18,7 +17,6 @@ use lubt_obs::Recorder;
 use crate::certificate::{CertSeed, Certificate, ColumnRole};
 use crate::model::{Cmp, LinExpr, Model};
 use crate::simplex::{dual_then_primal, ReoptOutcome, SimplexSolver, Tableau};
-use crate::standard::StandardForm;
 use crate::{LpError, Solution, Status};
 
 /// A combined-and-sorted appended row: coefficients over shifted
@@ -46,9 +44,9 @@ type PendingRow = (Vec<(usize, f64)>, Cmp, f64);
 /// # Ok::<(), lubt_lp::LpError>(())
 /// ```
 pub struct SimplexSession {
+    /// The model as grown so far; its lower bounds are the standard-form
+    /// variable shifts.
     model: Model,
-    /// Standard form of the *initial* model (variable shifts stay valid).
-    shift: Vec<f64>,
     /// Live tableau, kept at an optimal basis between resolves.
     t: Tableau,
     /// Rows appended since the last resolve.
@@ -59,7 +57,7 @@ pub struct SimplexSession {
     recorder: Arc<dyn Recorder>,
     infeasible: bool,
     /// Role of every tableau column, for certificate seeds. Grows by one
-    /// slack per appended row.
+    /// slack per appended row; empty when the session cannot be grown.
     col_roles: Vec<ColumnRole>,
     /// Seed of the certificate for the most recent (re)solve outcome.
     cert_seed: Option<CertSeed>,
@@ -82,31 +80,12 @@ impl SimplexSession {
     /// [`SimplexSession::resolve`] inherit `solver`'s pivot budget and
     /// recorder.
     pub fn start_with(model: Model, solver: SimplexSolver) -> Result<Self, LpError> {
-        let (solution, tableau, cert_seed) = solver.solve_keeping_tableau(&model)?;
-        let sf = StandardForm::build(&model);
+        let (solution, tableau, cert_seed) = solver.solve_full(&model)?;
         let infeasible = solution.status() != Status::Optimal;
-        let t = tableau.unwrap_or_else(|| Tableau::from_costs(&vec![0.0; sf.n]));
-        // Mirror `solve_full`'s column layout: structurals, slacks in row
-        // order, artificials in row order (truncated away when the fallback
-        // tableau has no artificial block).
-        let mut col_roles: Vec<ColumnRole> = Vec::with_capacity(t.cols);
-        col_roles.extend((0..model.num_vars()).map(ColumnRole::Structural));
-        col_roles.extend(
-            (0..sf.m)
-                .filter(|&i| sf.slack_col[i] != usize::MAX)
-                .map(ColumnRole::Slack),
-        );
-        col_roles.extend(
-            (0..sf.m)
-                .filter(|&i| {
-                    let sc = sf.slack_col[i];
-                    !(sc != usize::MAX && (sf.at(i, sc) - 1.0).abs() < 1e-12)
-                })
-                .map(ColumnRole::Artificial),
-        );
-        col_roles.truncate(t.cols);
+        // Only an optimal start is ever grown (`resolve` returns early
+        // otherwise), so the others need no tableau and no roles.
+        let (t, col_roles) = tableau.unwrap_or_else(|| (Tableau::from_costs(&[]), Vec::new()));
         Ok(SimplexSession {
-            shift: sf.shift,
             model,
             t,
             pending: Vec::new(),
@@ -159,8 +138,7 @@ impl SimplexSession {
                 value: rhs,
             });
         }
-        // Dense-combine duplicates, apply the variable shift to the rhs.
-        let mut combined: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
+        let mut terms = Vec::with_capacity(expr.terms().len());
         let mut shifted_rhs = rhs;
         for &(v, c) in expr.terms() {
             if v.index() >= self.model.num_vars() {
@@ -175,11 +153,10 @@ impl SimplexSession {
                     value: c,
                 });
             }
-            *combined.entry(v.index()).or_insert(0.0) += c;
-            shifted_rhs -= c * self.shift[v.index()];
+            terms.push((v.index(), c));
+            shifted_rhs -= c * self.model.lower[v.index()];
         }
-        let mut terms: Vec<(usize, f64)> = combined.into_iter().collect();
-        terms.sort_by_key(|&(i, _)| i);
+        crate::sparse::combine(&mut terms);
         self.model.add_constraint(expr, cmp, rhs);
         self.pending.push((terms, cmp, shifted_rhs));
         Ok(())
@@ -253,7 +230,7 @@ impl SimplexSession {
                         x[b] = self.t.rhs(r).max(0.0);
                     }
                 }
-                for (xi, s) in x.iter_mut().zip(&self.shift) {
+                for (xi, s) in x.iter_mut().zip(&self.model.lower) {
                     *xi += s;
                 }
                 let objective = self.model.objective_value(&x);
@@ -369,12 +346,25 @@ mod tests {
     fn duplicate_terms_in_appended_rows_combine() {
         let mut m = Model::new();
         let x = m.add_var(0.0, 1.0);
+        let y = m.add_var(0.0, 1.0);
         m.add_constraint(expr(&[(x, 1.0)]), Cmp::Le, 100.0);
+        let mut base = m.clone();
         let mut s = SimplexSession::start(m).unwrap();
-        s.add_constraint(expr(&[(x, 1.0), (x, 2.0)]), Cmp::Ge, 9.0)
-            .unwrap();
-        let sol = s.resolve().unwrap();
+        // x + 2x >= 9, i.e. x >= 3; y - y + x >= 1, where y cancels.
+        let rows = [
+            (expr(&[(x, 1.0), (x, 2.0)]), Cmp::Ge, 9.0),
+            (expr(&[(y, 1.0), (x, 1.0), (y, -1.0)]), Cmp::Ge, 1.0),
+        ];
+        for (e, cmp, rhs) in rows {
+            base.add_constraint(e.clone(), cmp, rhs);
+            s.add_constraint(e, cmp, rhs).unwrap();
+        }
+        let sol = s.resolve().unwrap().clone();
         assert!((sol.value(x) - 3.0).abs() < 1e-7);
+        assert!(sol.value(y).abs() < 1e-7);
+        let cold = SimplexSolver::new().solve(&base).unwrap();
+        assert!((sol.objective() - cold.objective()).abs() < 1e-9);
+        assert!(base.check_feasible(sol.values(), 1e-9).is_ok());
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //! out of `n` edge columns, so the column store is typically two orders of
 //! magnitude smaller than the dense image.
 //!
-//! Keeping the column numbering identical to the dense form is what makes
-//! [`crate::WarmStart`] tokens transferable between the two backends.
-//!
 //! [`Lines`] is the one compressed stream type of the revised backend:
 //! the LU stores its factors in it, and [`SparseForm::row_lines`] copies
 //! the matrix into it row by row for the dual candidate scan.

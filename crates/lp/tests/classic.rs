@@ -1,7 +1,7 @@
 //! Classic LP test problems: textbook instances with known optima and
 //! known failure modes (cycling, exponential pivot paths, degeneracy).
 
-use lubt_lp::{Cmp, LinExpr, LpSolve, Model, SimplexSolver, Status};
+use lubt_lp::{Cmp, LinExpr, LpSolve, Model, RevisedSolver, SimplexSolver, Status};
 
 fn expr(terms: &[(lubt_lp::Var, f64)]) -> LinExpr {
     LinExpr::from_terms(terms.iter().copied())
@@ -157,4 +157,47 @@ fn complementary_slackness() {
     assert!((duals[1] * slack2).abs() < 1e-7);
     // The slack row's dual is zero (it is inactive at the optimum).
     assert!(slack2 > 1.0 && duals[1].abs() < 1e-9);
+}
+
+/// One variable `x >= 0` at cost 1 under the equality rows `a·x = rhs`.
+fn equalities(rows: &[(f64, f64)]) -> Model {
+    let mut m = Model::new();
+    let x = m.add_var(0.0, 1.0);
+    for &(a, rhs) in rows {
+        m.add_constraint(expr(&[(x, a)]), Cmp::Eq, rhs);
+    }
+    m
+}
+
+/// Equality rows that contradict each other, outright or only up to a
+/// scale factor, leave the feasible region empty on both backends.
+#[test]
+fn contradicting_equalities_are_infeasible_on_both_backends() {
+    let solvers: [&dyn LpSolve; 2] = [&SimplexSolver::new(), &RevisedSolver::new()];
+    for solver in solvers {
+        // x = 1 and 2x = 4: no two rows are equal, yet they contradict.
+        let s = solver
+            .solve(&equalities(&[(1.0, 1.0), (2.0, 4.0)]))
+            .unwrap();
+        assert_eq!(s.status(), Status::Infeasible);
+        // x = 2 and x = 3.
+        let s = solver
+            .solve(&equalities(&[(1.0, 2.0), (1.0, 3.0)]))
+            .unwrap();
+        assert_eq!(s.status(), Status::Infeasible);
+    }
+}
+
+/// A repeated equality row is redundant, not contradictory: `x = 2` twice
+/// is optimal at `x = 2` on both backends.
+#[test]
+fn repeated_equalities_are_optimal_on_both_backends() {
+    let solvers: [&dyn LpSolve; 2] = [&SimplexSolver::new(), &RevisedSolver::new()];
+    for solver in solvers {
+        let s = solver
+            .solve(&equalities(&[(1.0, 2.0), (1.0, 2.0)]))
+            .unwrap();
+        assert_eq!(s.status(), Status::Optimal);
+        assert!((s.objective() - 2.0).abs() < 1e-9, "{}", s.objective());
+    }
 }
