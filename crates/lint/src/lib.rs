@@ -17,7 +17,7 @@
 //! | `pairwise-window-conflict` | deny | `u_i + u_j < dist(s_i, s_j)` |
 //! | `zero-skew-consistency` | deny | `l = u` regime: target below the §4.6 closed-form minimum; warns when the LP is used where the closed form suffices |
 //! | `degenerate-topology` | warn | unary Steiner chains, Steiner leaves, internal sinks, duplicate sink locations, root arity vs source mode |
-//! | `model-conditioning` | warn | empty/duplicate LP rows beyond presolve, mixed coefficient magnitudes, f64-absorbed coefficients, oversized right-hand sides |
+//! | `model-conditioning` | warn | empty and duplicate LP rows, mixed coefficient magnitudes, f64-absorbed coefficients, oversized right-hand sides |
 //!
 //! This crate deliberately sits *below* `lubt-core` in the dependency
 //! graph: passes consume a borrowed [`LintInput`] view (raw slices plus an

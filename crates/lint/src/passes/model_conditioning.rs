@@ -1,14 +1,15 @@
 //! `model-conditioning`: numerical smells in the generated LP.
 //!
-//! Presolve removes *bit-identical* canonicalized rows and resolves empty
-//! rows; this pass flags what slips past it or what presolve fixes only at
-//! a cost: rows with no terms, duplicate rows (same sorted term list,
-//! comparator and rhs), coefficient magnitudes spread over more than
-//! [`MAGNITUDE_RATIO_LIMIT`] (a classic source of simplex pivot noise),
-//! rows whose magnitude spread makes f64 summation absorb a coefficient
-//! outright (float and exact evaluation then disagree, which the certificate
-//! audit will expose), and right-hand sides beyond [`RHS_LIMIT`]. Runs only
-//! when a model is attached to the [`LintInput`].
+//! The LP is solved as generated, with no reduction pass in between, so
+//! this pass flags what the generator should not have emitted and what
+//! the solver can only work around: rows with no terms, duplicate rows
+//! (bit-identical sorted term list, comparator and rhs), coefficient
+//! magnitudes spread over more than [`MAGNITUDE_RATIO_LIMIT`] (a classic
+//! source of simplex pivot noise), rows whose magnitude spread makes f64
+//! summation absorb a coefficient outright (float and exact evaluation
+//! then disagree, which the certificate audit will expose), and
+//! right-hand sides beyond [`RHS_LIMIT`]. Runs only when a model is
+//! attached to the [`LintInput`].
 
 use crate::diagnostic::{Diagnostic, Level, Target};
 use crate::registry::{LintInput, LintPass};
@@ -25,7 +26,8 @@ pub const RHS_LIMIT: f64 = 1e12;
 pub struct ModelConditioning;
 
 /// Canonical row identity: sorted `(var, coefficient-bits)` terms, a
-/// comparator tag, and the rhs bits. Bit-exact, like presolve's dedup.
+/// comparator tag, and the rhs bits. Bit-exact: rows that differ only by
+/// rounding are not duplicates.
 type RowSignature = (Vec<(usize, u64)>, i8, u64);
 
 impl LintPass for ModelConditioning {
@@ -59,7 +61,7 @@ impl LintPass for ModelConditioning {
                     level,
                     message: format!(
                         "row {r} has no terms (0 {:?} {}); it is either vacuous or an \
-                         infeasibility left for presolve to trip over",
+                         infeasibility that the LP solve will certify",
                         c.cmp(),
                         c.rhs()
                     ),
@@ -90,7 +92,7 @@ impl LintPass for ModelConditioning {
                         targets: vec![Target::Row(*first.get()), Target::Row(r)],
                         help: Some(
                             "the generator emitted the same constraint twice; deduplicate \
-                             before presolve"
+                             rows at generation time"
                                 .to_string(),
                         ),
                     });
